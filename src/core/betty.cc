@@ -28,6 +28,22 @@ recordPlanMetrics(const PlanResult& result)
 
 } // namespace
 
+const WeightedGraph&
+BettyPartitioner::regFor(const Block& last_block)
+{
+    if (has_reg_ && last_block.edgeOffsets() == reg_offsets_ &&
+        last_block.edgeSources() == reg_sources_)
+        return reg_;
+    // Free the old REG first, so two large REGs never coexist.
+    has_reg_ = false;
+    reg_ = WeightedGraph();
+    reg_ = buildReg(last_block, options_.reg);
+    reg_offsets_ = last_block.edgeOffsets();
+    reg_sources_ = last_block.edgeSources();
+    has_reg_ = true;
+    return reg_;
+}
+
 std::vector<std::vector<int64_t>>
 BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
 {
@@ -39,8 +55,7 @@ BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
         return {std::vector<int64_t>(outputs.begin(), outputs.end())};
 
     // Algorithm 1: REG over the output layer, then K-way min cut.
-    const WeightedGraph reg =
-        buildReg(batch.blocks.back(), options_.reg);
+    const WeightedGraph& reg = regFor(batch.blocks.back());
     KwayOptions kway = options_.kway;
     kway.k = k;
 

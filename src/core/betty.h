@@ -54,6 +54,13 @@ struct BettyOptions
  * Algorithm 1): build the REG over the batch's output layer and
  * min-cut it K ways, so output nodes sharing many in-neighbors stay
  * in the same micro-batch.
+ *
+ * The REG depends only on the output block, not on K, so the
+ * partitioner keeps the last one it built and reuses it while the
+ * planner probes K values on the same batch. The cache is keyed by
+ * the block's contents (its CSR offsets and sources, compared element
+ * by element), never by its address: a batch resampled into the same
+ * object gets a fresh REG.
  */
 class BettyPartitioner : public OutputPartitioner
 {
@@ -73,7 +80,17 @@ class BettyPartitioner : public OutputPartitioner
     bool lastRunWasWarm() const { return last_run_was_warm_; }
 
   private:
+    /** The REG of @p last_block: the cached one when the block's
+     * adjacency equals the one it was built from, else a new build
+     * (the old REG is freed first). */
+    const WeightedGraph& regFor(const Block& last_block);
+
     BettyOptions options_;
+    // REG reuse: the last REG built and the adjacency it came from.
+    WeightedGraph reg_;
+    std::vector<int64_t> reg_offsets_;
+    std::vector<int64_t> reg_sources_;
+    bool has_reg_ = false;
     // Warm-start memory: the previous assignment, by raw-graph id.
     std::unordered_map<int64_t, int32_t> previous_assignment_;
     int32_t previous_k_ = 0;

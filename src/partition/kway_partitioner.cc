@@ -8,6 +8,7 @@
 #include "partition/refine.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace betty {
 
@@ -80,20 +81,28 @@ kwayPartition(const WeightedGraph& graph, const KwayOptions& opts)
         return std::vector<int32_t>(size_t(n), 0);
 
     // Several independent V-cycles; keep the lowest cut (METIS runs
-    // multiple initial partitions for the same reason).
-    std::vector<int32_t> best;
-    int64_t best_cut = 0;
+    // multiple initial partitions for the same reason). The runs share
+    // nothing but the read-only graph, so they run concurrently, each
+    // into its own slot; the lowest cut wins and a tie goes to the
+    // lowest run index, exactly as a serial loop would pick.
     const int32_t runs = std::max<int32_t>(1, opts.restarts);
-    for (int32_t run = 0; run < runs; ++run) {
-        Rng rng(opts.seed + uint64_t(run) * 0x9e3779b9ULL);
-        auto parts = multilevelCycle(graph, opts, rng);
-        const int64_t cut = graph.cutCost(parts);
-        if (run == 0 || cut < best_cut) {
-            best_cut = cut;
-            best = std::move(parts);
-        }
-    }
-    return best;
+    std::vector<std::vector<int32_t>> run_parts(
+        static_cast<size_t>(runs));
+    std::vector<int64_t> run_cuts(static_cast<size_t>(runs), 0);
+    ThreadPool::global().parallelFor(
+        0, runs, 1, [&](int64_t run_lo, int64_t run_hi) {
+            for (int64_t run = run_lo; run < run_hi; ++run) {
+                Rng rng(opts.seed + uint64_t(run) * 0x9e3779b9ULL);
+                run_parts[size_t(run)] =
+                    multilevelCycle(graph, opts, rng);
+                run_cuts[size_t(run)] =
+                    graph.cutCost(run_parts[size_t(run)]);
+            }
+        });
+    const size_t best = size_t(
+        std::min_element(run_cuts.begin(), run_cuts.end()) -
+        run_cuts.begin());
+    return std::move(run_parts[best]);
 }
 
 std::vector<int32_t>

@@ -48,8 +48,10 @@ struct KwayOptions
     /** Seed for matching and initial-growth tie breaking. */
     uint64_t seed = 13;
 
-    /** Independent multilevel runs; the lowest-cut result wins.
-     * Matches METIS's multiple-initial-partition strategy. */
+    /** Independent multilevel runs; the lowest-cut result wins, a tie
+     * going to the lowest run index. Matches METIS's multiple-initial-
+     * partition strategy. The runs execute concurrently on
+     * ThreadPool::global(); the result does not depend on its size. */
     int32_t restarts = 3;
 };
 

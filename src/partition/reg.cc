@@ -1,7 +1,9 @@
 #include "partition/reg.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -15,31 +17,66 @@ namespace {
 
 /**
  * Sources per enumeration block. Fixed (never derived from the thread
- * count) so the work decomposition — and therefore the set of partial
- * weight maps — is identical for any pool size; only the schedule
+ * count) so the work decomposition — and therefore the set of sorted
+ * pair runs — is identical for any pool size; only the schedule
  * varies. ~4k sources is coarse enough to amortize task overhead and
  * fine enough to balance hub-heavy blocks across workers.
  */
 constexpr int64_t kSourceBlock = 4096;
 
-/**
- * Accumulate the co-destination pair weights of sources [lo, hi) into
- * @p weights (key = lo_dst * num_dst + hi_dst).
- */
-void
-accumulateBlock(std::vector<std::vector<int64_t>>& dsts_of_src,
-                int64_t lo, int64_t hi, int64_t num_dst,
-                const RegOptions& opts,
-                std::unordered_map<int64_t, int64_t>& weights)
+/** Column view of the output block: the destinations of each source,
+ * ascending (a CSR transpose of the block's dst->src adjacency). */
+struct SourceCsr
 {
+    std::vector<int64_t> offsets; // size numSrc + 1
+    std::vector<int64_t> dsts;
+};
+
+SourceCsr
+invertBlock(const Block& block)
+{
+    const auto& dst_offsets = block.edgeOffsets();
+    const auto& sources = block.edgeSources();
+    SourceCsr csr;
+    csr.offsets.assign(size_t(block.numSrc()) + 1, 0);
+    for (int64_t s : sources)
+        ++csr.offsets[size_t(s) + 1];
+    for (size_t s = 0; s + 1 < csr.offsets.size(); ++s)
+        csr.offsets[s + 1] += csr.offsets[s];
+    csr.dsts.resize(sources.size());
+    std::vector<int64_t> fill(csr.offsets.begin(), csr.offsets.end() - 1);
+    // Destinations are visited in increasing order, so every source's
+    // list comes out sorted (duplicates adjacent).
+    for (int64_t d = 0; d < block.numDst(); ++d)
+        for (int64_t e = dst_offsets[size_t(d)];
+             e < dst_offsets[size_t(d) + 1]; ++e)
+            csr.dsts[size_t(fill[size_t(sources[size_t(e)])]++)] = d;
+    return csr;
+}
+
+/** The co-destination pairs of one source block: distinct packed keys
+ * (lo_dst * num_dst + hi_dst), ascending, with their pair counts. */
+struct PairRun
+{
+    std::vector<int64_t> keys;
+    std::vector<int64_t> counts;
+};
+
+/** Enumerate, sort and run-length count the pairs of sources [lo, hi). */
+PairRun
+blockPairs(const SourceCsr& csr, int64_t lo, int64_t hi,
+           int64_t num_dst, const RegOptions& opts)
+{
+    std::vector<int64_t> keys;
+    std::vector<int64_t> dsts;
     for (int64_t s = lo; s < hi; ++s) {
-        auto& dsts = dsts_of_src[size_t(s)];
-        if (dsts.size() < 2)
-            continue;
         // A destination can sample the same source more than once in a
         // multigraph; shared-neighbor counts are over distinct nodes.
-        std::sort(dsts.begin(), dsts.end());
+        dsts.assign(csr.dsts.begin() + csr.offsets[size_t(s)],
+                    csr.dsts.begin() + csr.offsets[size_t(s) + 1]);
         dsts.erase(std::unique(dsts.begin(), dsts.end()), dsts.end());
+        if (dsts.size() < 2)
+            continue;
 
         const int64_t limit =
             (opts.hubPairCap > 0 &&
@@ -54,12 +91,61 @@ accumulateBlock(std::vector<std::vector<int64_t>>& dsts_of_src,
                 const int64_t j = dsts[size_t(double(b) * step)];
                 if (i == j)
                     continue;
-                const int64_t lo_d = std::min(i, j);
-                const int64_t hi_d = std::max(i, j);
-                ++weights[lo_d * num_dst + hi_d];
+                keys.push_back(std::min(i, j) * num_dst +
+                               std::max(i, j));
             }
         }
     }
+    std::sort(keys.begin(), keys.end());
+
+    PairRun run;
+    for (size_t i = 0; i < keys.size();) {
+        size_t j = i + 1;
+        while (j < keys.size() && keys[j] == keys[i])
+            ++j;
+        run.keys.push_back(keys[i]);
+        run.counts.push_back(int64_t(j - i));
+        i = j;
+    }
+    return run;
+}
+
+/**
+ * Merge the sorted runs into one edge list ordered by (u, v), summing
+ * the counts of a key that several blocks share. Ties pop in block
+ * order; sums are exact, so the order could not change a weight.
+ */
+std::vector<WeightedEdge>
+mergeRuns(const std::vector<PairRun>& runs, int64_t num_dst)
+{
+    using Head = std::pair<int64_t, size_t>; // (key, run index)
+    std::priority_queue<Head, std::vector<Head>, std::greater<Head>>
+        heap;
+    std::vector<size_t> next(runs.size(), 0);
+    size_t max_edges = 0;
+    for (size_t r = 0; r < runs.size(); ++r) {
+        max_edges += runs[r].keys.size();
+        if (!runs[r].keys.empty())
+            heap.push({runs[r].keys.front(), r});
+    }
+
+    std::vector<WeightedEdge> edges;
+    edges.reserve(max_edges);
+    int64_t last_key = -1;
+    while (!heap.empty()) {
+        const auto [key, r] = heap.top();
+        heap.pop();
+        const int64_t count = runs[r].counts[next[r]];
+        if (key == last_key) {
+            edges.back().weight += count;
+        } else {
+            edges.push_back({key / num_dst, key % num_dst, count});
+            last_key = key;
+        }
+        if (++next[r] < runs[r].keys.size())
+            heap.push({runs[r].keys[next[r]], r});
+    }
+    return edges;
 }
 
 } // namespace
@@ -70,27 +156,17 @@ buildReg(const Block& last_block, const RegOptions& opts)
     BETTY_TRACE_SPAN_CAT("partition/reg_build", "partition");
     const int64_t num_dst = last_block.numDst();
     const int64_t num_src = last_block.numSrc();
-
-    // Invert the block's dst->src CSR: which destinations does each
-    // source feed? (Column view of the adjacency matrix A.)
-    std::vector<std::vector<int64_t>> dsts_of_src(
-        static_cast<size_t>(num_src));
-    for (int64_t d = 0; d < num_dst; ++d)
-        for (int64_t s : last_block.inEdges(d))
-            dsts_of_src[size_t(s)].push_back(d);
+    const SourceCsr csr = invertBlock(last_block);
 
     // c_ij = sum over sources of [i in dsts(s)][j in dsts(s)]:
-    // enumerate co-destination pairs per source and accumulate.
-    // Row-blocked: each fixed block of sources fills its own weight
-    // map (no sharing, no locks); the maps are then merged in block
-    // order. Weight totals are sums, so the merge order cannot change
-    // a value, and the final edge list is sorted by endpoint pair —
-    // the output is byte-identical for any thread count (and no
-    // longer depends on unordered_map iteration order at all).
+    // enumerate co-destination pairs per source. Each fixed block of
+    // sources sorts its own packed pair keys into a counted run (no
+    // sharing, no locks, no hashing); the runs are then merged. The
+    // edge list comes out sorted by endpoint pair with exact sums, so
+    // it is byte-identical for any thread count.
     const int64_t num_blocks =
         num_src == 0 ? 0 : (num_src + kSourceBlock - 1) / kSourceBlock;
-    std::vector<std::unordered_map<int64_t, int64_t>> block_weights(
-        static_cast<size_t>(num_blocks));
+    std::vector<PairRun> runs(static_cast<size_t>(num_blocks));
     ThreadPool::global().parallelFor(
         0, num_blocks, 1, [&](int64_t block_lo, int64_t block_hi) {
             for (int64_t block = block_lo; block < block_hi;
@@ -98,31 +174,12 @@ buildReg(const Block& last_block, const RegOptions& opts)
                 const int64_t lo = block * kSourceBlock;
                 const int64_t hi =
                     std::min(lo + kSourceBlock, num_src);
-                accumulateBlock(dsts_of_src, lo, hi, num_dst, opts,
-                                block_weights[size_t(block)]);
+                runs[size_t(block)] =
+                    blockPairs(csr, lo, hi, num_dst, opts);
             }
         });
-
-    std::unordered_map<int64_t, int64_t> weights;
-    for (auto& partial : block_weights) {
-        if (weights.empty()) {
-            weights = std::move(partial);
-            continue;
-        }
-        for (const auto& [key, w] : partial)
-            weights[key] += w;
-        partial.clear();
-    }
-
-    std::vector<WeightedEdge> edges;
-    edges.reserve(weights.size());
-    for (const auto& [key, w] : weights)
-        edges.push_back({key / num_dst, key % num_dst, w});
-    // Canonical order: platform- and schedule-independent output.
-    std::sort(edges.begin(), edges.end(),
-              [](const WeightedEdge& a, const WeightedEdge& b) {
-                  return a.u != b.u ? a.u < b.u : a.v < b.v;
-              });
+    const std::vector<WeightedEdge> edges = mergeRuns(runs, num_dst);
+    runs.clear(); // not needed while the graph is built
 
     std::vector<int64_t> vertex_weights;
     if (opts.degreeVertexWeights) {

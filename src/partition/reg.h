@@ -11,7 +11,16 @@
  *
  * The paper computes C with a sparse matrix product
  * (dgl.adj_product_graph); we enumerate co-destination pairs per
- * source, which is the same computation row by row.
+ * source, which is the same computation row by row. Fixed blocks of
+ * sources sort their packed pair keys on the pool, and the sorted runs
+ * are merged and run-length counted into the (u, v)-sorted edge list:
+ * no hashing, byte-identical output for any thread count.
+ *
+ * buildReg() always builds. BettyPartitioner (core/betty.h) keeps the
+ * last REG and reuses it while the planner probes K values on the
+ * same batch. The WeightedGraph constructor fills adjacency in
+ * unordered_map iteration order, which ties partition tie-breaks to
+ * the standard library's hash layout (docs/ALGORITHMS.md §1).
  */
 #ifndef BETTY_PARTITION_REG_H
 #define BETTY_PARTITION_REG_H

@@ -6,6 +6,10 @@
  * (1, 2, 8) and across repeated runs, on a power-law graph and a
  * bipartite-heavy hub graph that exercises the REG hubPairCap path.
  *
+ * The K-way partitioner's restarts run concurrently on the same pool;
+ * their winner (lowest cut, ties to the lowest run index) must not
+ * depend on the pool size either.
+ *
  * Each artifact is reduced to an FNV-1a hash; the expected values are
  * a committed golden corpus (tests/golden/, BETTY_GOLDEN_DIR), so any
  * platform- or schedule-dependent drift — not just thread-count
@@ -24,6 +28,7 @@
 #include "core/betty.h"
 #include "data/synthetic.h"
 #include "graph/csr_graph.h"
+#include "partition/kway_partitioner.h"
 #include "partition/partitioner.h"
 #include "partition/reg.h"
 #include "sampling/neighbor_sampler.h"
@@ -305,6 +310,82 @@ TEST(ParallelDeterminism, RegAdjacencyElementwiseIdentical)
             EXPECT_EQ(s_weights[i], p_weights[i])
                 << "vertex " << v << " weight " << i;
         }
+    }
+}
+
+// -------------------------------------------------------------------
+// Concurrent K-way restarts.
+
+class KwayRestarts : public ::testing::Test
+{
+  protected:
+    void TearDown() override { ThreadPool::setGlobalThreads(1); }
+};
+
+/** Two disjoint equal unit-weight cliques: at K = 2 every restart can
+ * separate them at cut 0, so the tie-break alone picks the winner. */
+WeightedGraph
+twoCliques(int64_t size)
+{
+    std::vector<WeightedEdge> edges;
+    for (int64_t c = 0; c < 2; ++c)
+        for (int64_t i = 0; i < size; ++i)
+            for (int64_t j = i + 1; j < size; ++j)
+                edges.push_back({c * size + i, c * size + j, 1});
+    return WeightedGraph(2 * size, edges);
+}
+
+TEST_F(KwayRestarts, IdenticalAcrossThreadCounts)
+{
+    const CsrGraph graph = powerLawGraph();
+    NeighborSampler sampler(graph, {4, 6}, 7);
+    const auto batch =
+        sampler.sample(seedNodes(graph, 384, graph.numNodes() / 3));
+    const WeightedGraph reg = buildReg(batch.blocks.back());
+    KwayOptions opts;
+    opts.k = 8;
+    opts.restarts = 3;
+    MetisBaselinePartitioner metis(graph);
+
+    ThreadPool::setGlobalThreads(1);
+    const auto serial = kwayPartition(reg, opts);
+    const auto serial_metis = metis.partition(batch, 8);
+    for (const int32_t threads : {2, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        EXPECT_EQ(kwayPartition(reg, opts), serial)
+            << "threads=" << threads;
+        EXPECT_EQ(metis.partition(batch, 8), serial_metis)
+            << "metis baseline, threads=" << threads;
+    }
+}
+
+TEST_F(KwayRestarts, TiedCutsGoToRunZero)
+{
+    const WeightedGraph cliques = twoCliques(40);
+    KwayOptions opts;
+    opts.k = 2;
+    opts.restarts = 1;
+
+    // Run r of a multi-restart call is the single run seeded with
+    // seed + r * 0x9e3779b9. Each one reaches cut 0.
+    ThreadPool::setGlobalThreads(1);
+    const auto run0 = kwayPartition(cliques, opts);
+    bool labels_differ = false;
+    for (uint64_t run = 0; run < 3; ++run) {
+        KwayOptions single = opts;
+        single.seed = opts.seed + run * 0x9e3779b9ULL;
+        const auto parts = kwayPartition(cliques, single);
+        EXPECT_EQ(cliques.cutCost(parts), 0) << "run " << run;
+        labels_differ = labels_differ || parts != run0;
+    }
+    // The tie is visible: some run labels the cliques differently.
+    EXPECT_TRUE(labels_differ);
+
+    opts.restarts = 3;
+    for (const int32_t threads : {1, 2, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        EXPECT_EQ(kwayPartition(cliques, opts), run0)
+            << "threads=" << threads;
     }
 }
 

@@ -6,6 +6,9 @@
 
 #include "core/betty.h"
 #include "data/catalog.h"
+#include "obs/metrics.h"
+#include "partition/partitioner.h"
+#include "partition/reg.h"
 #include "sampling/neighbor_sampler.h"
 
 namespace betty {
@@ -369,6 +372,69 @@ TEST(Planner, BettyNeedsNoMoreBatchesThanRandom)
     RandomPartitioner random(9);
     EXPECT_LE(planner.plan(env.full, betty).k,
               planner.plan(env.full, random).k);
+}
+
+/** Turns metrics collection on for one scope, restoring the old
+ * setting on exit. */
+class MetricsEnabledScope
+{
+  public:
+    MetricsEnabledScope() : was_(obs::Metrics::enabled())
+    {
+        obs::Metrics::setEnabled(true);
+    }
+    ~MetricsEnabledScope() { obs::Metrics::setEnabled(was_); }
+
+  private:
+    bool was_;
+};
+
+int64_t
+regBuilds()
+{
+    return obs::Metrics::counter("partition.reg_builds").value();
+}
+
+TEST(Planner, OneRegPerBatchAcrossProbes)
+{
+    MetricsEnabledScope metrics;
+    Env env;
+    const auto full_est = estimateBatchMemory(env.full, env.spec);
+    MemoryAwarePlanner planner(env.spec, full_est.peak / 2);
+    BettyPartitioner part;
+
+    const int64_t before = regBuilds();
+    const auto plan = planner.plan(env.full, part);
+    ASSERT_TRUE(plan.fits);
+    // K = 1 needs no REG; every probe from K = 2 up reuses one build.
+    ASSERT_GE(plan.attempts, 3);
+    EXPECT_EQ(regBuilds() - before, 1);
+
+    // A different batch sampled into the same object: same address,
+    // new adjacency. The partitioner must notice and rebuild.
+    const MultiLayerBatch* address = &env.full;
+    std::vector<int64_t> other(env.dataset.trainNodes.end() - 150,
+                               env.dataset.trainNodes.end());
+    env.full = env.sampler.sample(other);
+    ASSERT_EQ(&env.full, address);
+
+    const auto groups = part.partition(env.full, plan.k);
+    EXPECT_EQ(regBuilds() - before, 2);
+
+    // The result is the one a fresh REG gives, element by element.
+    KwayOptions kway;
+    kway.k = plan.k;
+    const auto fresh = groupByPart(
+        env.full.outputNodes(),
+        kwayPartition(buildReg(env.full.blocks.back()), kway), plan.k);
+    ASSERT_EQ(groups.size(), fresh.size());
+    for (size_t p = 0; p < groups.size(); ++p)
+        EXPECT_EQ(groups[p], fresh[p]) << "part " << p;
+
+    // Probing again on the new batch reuses its REG.
+    const int64_t after_fresh = regBuilds();
+    part.partition(env.full, plan.k + 1);
+    EXPECT_EQ(regBuilds(), after_fresh);
 }
 
 } // namespace
