@@ -5,6 +5,14 @@
  * construction (paper §4.3.2): edge weight = number of shared
  * in-neighbors between two output nodes, vertex weight = the balance
  * cost the partitioner must equalize.
+ *
+ * Row invariant: every WeightedGraph is a canonical CSR. Each row
+ * lists its neighbours in strictly ascending id order, with no
+ * duplicates and no self loops, and the graph is symmetric: v appears
+ * in u's row with weight w exactly when u appears in v's row with
+ * weight w. A graph is therefore a pure function of its edge multiset,
+ * never of the order the edges arrived in, and so is every partition
+ * computed on it.
  */
 #ifndef BETTY_GRAPH_WEIGHTED_GRAPH_H
 #define BETTY_GRAPH_WEIGHTED_GRAPH_H
@@ -23,7 +31,7 @@ struct WeightedEdge
     int64_t weight;
 };
 
-/** Immutable symmetric weighted graph. */
+/** Immutable symmetric weighted graph in canonical CSR form. */
 class WeightedGraph
 {
   public:
@@ -31,21 +39,37 @@ class WeightedGraph
 
     /**
      * Build from an undirected triplet list. Each {u, v, w} contributes
-     * adjacency in both directions; duplicate (u, v) pairs have their
-     * weights summed; self loops are dropped (REG removes them,
-     * Algorithm 1 line 7, and min-cut ignores them).
+     * adjacency in both directions; duplicate (u, v) pairs, in either
+     * orientation, have their weights summed; self loops are dropped
+     * (REG removes them, Algorithm 1 line 7, and min-cut ignores them).
+     * Rows are filled by a counting sort, then sorted and merged, so the
+     * result depends only on the edge multiset. A list sorted by
+     * (u, v), as buildReg emits, fills every row already in order.
      * Vertex weights default to 1 if @p vertex_weights is empty.
      */
     WeightedGraph(int64_t num_nodes,
                   const std::vector<WeightedEdge>& edges,
                   std::vector<int64_t> vertex_weights = {});
 
+    /**
+     * Adopt a finished CSR: row v is targets/weights
+     * [offsets[v], offsets[v + 1]). The caller guarantees the row
+     * invariant (file comment); only the array sizes are checked.
+     * Vertex weights default to 1 if @p vertex_weights is empty.
+     */
+    WeightedGraph(std::vector<int64_t> offsets,
+                  std::vector<int64_t> targets,
+                  std::vector<int64_t> weights,
+                  std::vector<int64_t> vertex_weights);
+
     int64_t numNodes() const { return num_nodes_; }
 
     /** Number of undirected edges (each counted once). */
     int64_t numEdges() const { return int64_t(adj_targets_.size()) / 2; }
 
+    /** Neighbours of @p node, strictly ascending. */
     std::span<const int64_t> neighbors(int64_t node) const;
+    /** Weights parallel to neighbors(@p node). */
     std::span<const int64_t> edgeWeights(int64_t node) const;
 
     int64_t vertexWeight(int64_t node) const
@@ -65,6 +89,8 @@ class WeightedGraph
     }
 
   private:
+    void setVertexWeights(std::vector<int64_t> vertex_weights);
+
     int64_t num_nodes_ = 0;
     int64_t total_vertex_weight_ = 0;
     std::vector<int64_t> adj_offsets_;

@@ -56,7 +56,9 @@ coarsen(const WeightedGraph& graph, const std::vector<int64_t>& matching)
         if (level.fineToCoarse[size_t(v)] != -1)
             continue;
         const int64_t partner = matching[size_t(v)];
-        BETTY_ASSERT(partner >= 0 && partner < n, "bad matching entry");
+        BETTY_ASSERT(partner >= 0 && partner < n &&
+                         matching[size_t(partner)] == v,
+                     "bad matching entry");
         level.fineToCoarse[size_t(v)] = coarse_count;
         level.fineToCoarse[size_t(partner)] = coarse_count;
         ++coarse_count;
@@ -67,22 +69,68 @@ coarsen(const WeightedGraph& graph, const std::vector<int64_t>& matching)
         coarse_vwgt[size_t(level.fineToCoarse[size_t(v)])] +=
             graph.vertexWeight(v);
 
-    std::vector<WeightedEdge> coarse_edges;
-    coarse_edges.reserve(size_t(graph.numEdges()));
-    for (int64_t v = 0; v < n; ++v) {
-        const int64_t cv = level.fineToCoarse[size_t(v)];
-        const auto nbrs = graph.neighbors(v);
-        const auto wts = graph.edgeWeights(v);
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-            const int64_t cu = level.fineToCoarse[size_t(nbrs[i])];
-            // Each undirected fine edge appears twice; keep one copy by
-            // the v < nbrs[i] rule; intra-pair edges collapse away.
-            if (cv != cu && v < nbrs[i])
-                coarse_edges.push_back({cv, cu, wts[i]});
+    // Contract straight into CSR. Coarse vertex c's row is the union of
+    // its members' rows mapped through fineToCoarse: intra-pair edges
+    // drop out and parallel edges sum in slot[cu], the position of cu
+    // in the row being built (positions grow, so a slot set by an
+    // earlier row is below row_begin and reads as unset).
+    std::vector<int64_t> offsets(size_t(coarse_count) + 1, 0);
+    std::vector<int64_t> targets;
+    std::vector<int64_t> weights;
+    targets.reserve(size_t(2 * graph.numEdges()));
+    weights.reserve(size_t(2 * graph.numEdges()));
+    {
+        std::vector<int64_t> slot(size_t(coarse_count), -1);
+        int64_t c = 0;
+        for (int64_t v = 0; v < n; ++v) {
+            if (level.fineToCoarse[size_t(v)] != c)
+                continue; // v is the second member of an earlier pair
+            const int64_t row_begin = int64_t(targets.size());
+            const int64_t members[2] = {v, matching[size_t(v)]};
+            const int64_t num_members = members[1] == v ? 1 : 2;
+            for (int64_t m = 0; m < num_members; ++m) {
+                const int64_t member = members[m];
+                const auto nbrs = graph.neighbors(member);
+                const auto wts = graph.edgeWeights(member);
+                for (size_t i = 0; i < nbrs.size(); ++i) {
+                    const int64_t cu =
+                        level.fineToCoarse[size_t(nbrs[i])];
+                    if (cu == c)
+                        continue;
+                    int64_t& at = slot[size_t(cu)];
+                    if (at >= row_begin) {
+                        weights[size_t(at)] += wts[i];
+                    } else {
+                        at = int64_t(targets.size());
+                        targets.push_back(cu);
+                        weights.push_back(wts[i]);
+                    }
+                }
+            }
+            offsets[size_t(++c)] = int64_t(targets.size());
         }
     }
 
-    level.graph = WeightedGraph(coarse_count, coarse_edges,
+    // The rows hold neighbours in first-seen order. Transposing sorts
+    // them: walking rows in ascending order appends each row id to its
+    // neighbours' rows, and symmetry keeps every row's length.
+    std::vector<int64_t> sorted_targets(targets.size());
+    std::vector<int64_t> sorted_weights(weights.size());
+    {
+        std::vector<int64_t> fill(offsets.begin(), offsets.end() - 1);
+        for (int64_t cv = 0; cv < coarse_count; ++cv) {
+            for (int64_t i = offsets[size_t(cv)];
+                 i < offsets[size_t(cv) + 1]; ++i) {
+                const int64_t at = fill[size_t(targets[size_t(i)])]++;
+                sorted_targets[size_t(at)] = cv;
+                sorted_weights[size_t(at)] = weights[size_t(i)];
+            }
+        }
+    }
+
+    level.graph = WeightedGraph(std::move(offsets),
+                                std::move(sorted_targets),
+                                std::move(sorted_weights),
                                 std::move(coarse_vwgt));
     return level;
 }

@@ -35,9 +35,16 @@ std::vector<int64_t> heavyEdgeMatching(const WeightedGraph& graph,
                                        Rng& rng);
 
 /**
- * Collapse matched pairs into coarse vertices. Vertex weights add;
+ * Collapse matched pairs into coarse vertices. @p matching must be
+ * mutual (matching[matching[v]] == v), as heavyEdgeMatching returns.
+ * Coarse ids follow the smaller member's fine id. Vertex weights add;
  * parallel coarse edges have their weights summed; intra-pair edges
  * disappear (they can never be cut once merged).
+ *
+ * The coarse graph is contracted straight into CSR, with no edge list
+ * in between, and keeps WeightedGraph's row invariant: rows strictly
+ * ascending, no duplicates, no self loops, symmetric. It equals the
+ * graph the edge-list constructor builds from the coarse triplets.
  */
 CoarseLevel coarsen(const WeightedGraph& graph,
                     const std::vector<int64_t>& matching);

@@ -18,9 +18,8 @@
  *
  * buildReg() always builds. BettyPartitioner (core/betty.h) keeps the
  * last REG and reuses it while the planner probes K values on the
- * same batch. The WeightedGraph constructor fills adjacency in
- * unordered_map iteration order, which ties partition tie-breaks to
- * the standard library's hash layout (docs/ALGORITHMS.md §1).
+ * same batch. The sorted edge list fills the WeightedGraph's canonical
+ * CSR rows in order by a counting sort alone (docs/ALGORITHMS.md §1).
  */
 #ifndef BETTY_PARTITION_REG_H
 #define BETTY_PARTITION_REG_H

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/perf/flight_recorder.h"
@@ -50,17 +51,7 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::enqueue(std::function<void()> task)
 {
-    if (obs::Metrics::enabled()) {
-        static obs::Counter& tasks =
-            obs::Metrics::counter("pool.tasks");
-        tasks.increment();
-    }
-    if (queues_.empty()) {
-        // No workers: run inline so threads=1 keeps serial ordering.
-        task();
-        return;
-    }
-    if (obs::Trace::enabled()) {
+    if (!queues_.empty() && obs::Trace::enabled()) {
         // Wrap the task in its span here (not in workerLoop) so the
         // spawn flow edge can capture the submitting span and the
         // submission time — the dependency critpath analysis follows
@@ -76,6 +67,22 @@ ThreadPool::enqueue(std::function<void()> task)
             obs::Trace::recordFlow(parent, span.id(), spawn_ts);
             inner();
         };
+    }
+    push(std::move(task));
+}
+
+void
+ThreadPool::push(std::function<void()> task)
+{
+    if (obs::Metrics::enabled()) {
+        static obs::Counter& tasks =
+            obs::Metrics::counter("pool.tasks");
+        tasks.increment();
+    }
+    if (queues_.empty()) {
+        // No workers: run inline so threads=1 keeps serial ordering.
+        task();
+        return;
     }
     const size_t target =
         size_t(next_queue_.fetch_add(1, std::memory_order_relaxed)) %
@@ -166,13 +173,27 @@ ThreadPool::workerLoop(size_t index)
 }
 
 void
-ThreadPool::runChunks(const std::shared_ptr<ForState>& state)
+ThreadPool::runChunks(const std::shared_ptr<ForState>& state,
+                      bool helper)
 {
+    auto claim = [&state] {
+        return state->nextChunk.fetch_add(1, std::memory_order_relaxed);
+    };
+    int64_t chunk = claim();
+    if (chunk >= state->numChunks)
+        return; // a helper that found no work leaves no trace
+
+    // A helper's task span opens only once it holds a chunk, and
+    // closes before its last chunk is counted done: the caller may
+    // snapshot the trace as soon as the final chunk is counted, and a
+    // span still open then would leave its spawn flow dangling.
+    std::optional<obs::TraceSpan> task_span;
+    if (helper && obs::Trace::enabled()) {
+        task_span.emplace("pool/task", state->traceCategory);
+        obs::Trace::recordFlow(state->callerSpan, task_span->id(),
+                               state->spawnTsUs);
+    }
     while (true) {
-        const int64_t chunk =
-            state->nextChunk.fetch_add(1, std::memory_order_relaxed);
-        if (chunk >= state->numChunks)
-            return;
         if (!state->cancelled.load(std::memory_order_acquire)) {
             const int64_t lo = state->begin + chunk * state->grain;
             const int64_t hi =
@@ -196,6 +217,9 @@ ThreadPool::runChunks(const std::shared_ptr<ForState>& state)
                                        std::memory_order_release);
             }
         }
+        const int64_t next = claim();
+        if (next >= state->numChunks)
+            task_span.reset();
         const int64_t done =
             state->doneChunks.fetch_add(1,
                                         std::memory_order_acq_rel) +
@@ -204,6 +228,9 @@ ThreadPool::runChunks(const std::shared_ptr<ForState>& state)
             std::lock_guard<std::mutex> lock(state->mutex);
             state->done.notify_all();
         }
+        if (next >= state->numChunks)
+            return;
+        chunk = next;
     }
 }
 
@@ -250,9 +277,10 @@ ThreadPool::parallelFor(
     const int64_t helpers =
         std::min<int64_t>(int64_t(workers_.size()), num_chunks - 1);
     for (int64_t h = 0; h < helpers; ++h)
-        enqueue([state] { runChunks(state); });
+        push([state] { runChunks(state, true); });
 
-    runChunks(state); // the caller is a full participant (nesting-safe)
+    // The caller is a full participant (nesting-safe).
+    runChunks(state, false);
 
     {
         std::unique_lock<std::mutex> lock(state->mutex);

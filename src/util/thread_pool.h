@@ -148,12 +148,19 @@ class ThreadPool
         std::vector<uint64_t> chunkSpans;
     };
 
+    /** Queue @p task, wrapped in a "pool/task" span and its spawn
+     * flow while tracing. */
     void enqueue(std::function<void()> task);
+    /** Queue @p task as is (runs inline when there are no workers). */
+    void push(std::function<void()> task);
     void workerLoop(size_t index);
     bool tryPop(size_t index, std::function<void()>& task);
 
-    /** Claim and run chunks of @p state until none remain. */
-    static void runChunks(const std::shared_ptr<ForState>& state);
+    /** Claim and run chunks of @p state until none remain. A
+     * @p helper (a queued task, not the caller) opens its own
+     * "pool/task" span once it has claimed a chunk. */
+    static void runChunks(const std::shared_ptr<ForState>& state,
+                          bool helper);
 
     int32_t num_threads_;
     std::vector<std::unique_ptr<WorkerQueue>> queues_;

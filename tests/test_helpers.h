@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/csr_graph.h"
+#include "graph/weighted_graph.h"
 #include "sampling/block.h"
 #include "tensor/autograd.h"
 
@@ -87,6 +88,31 @@ tinyBatch()
                 {{5}, {5, 6}, {6}, {7}, {2, 7}});
     batch.blocks = {inner, outer};
     return batch;
+}
+
+/**
+ * Expect two weighted graphs to be the same CSR, element by element:
+ * node count, vertex weights, and every row's neighbours and weights
+ * in order (equal rows at every node imply equal offsets).
+ */
+inline void
+expectSameGraph(const WeightedGraph& a, const WeightedGraph& b)
+{
+    ASSERT_EQ(a.numNodes(), b.numNodes());
+    EXPECT_EQ(a.numEdges(), b.numEdges());
+    for (int64_t v = 0; v < a.numNodes(); ++v) {
+        EXPECT_EQ(a.vertexWeight(v), b.vertexWeight(v)) << "node " << v;
+        const auto an = a.neighbors(v);
+        const auto bn = b.neighbors(v);
+        const auto aw = a.edgeWeights(v);
+        const auto bw = b.edgeWeights(v);
+        ASSERT_EQ(std::vector<int64_t>(an.begin(), an.end()),
+                  std::vector<int64_t>(bn.begin(), bn.end()))
+            << "neighbours of node " << v;
+        ASSERT_EQ(std::vector<int64_t>(aw.begin(), aw.end()),
+                  std::vector<int64_t>(bw.begin(), bw.end()))
+            << "weights of node " << v;
+    }
 }
 
 } // namespace betty::testutil

@@ -14,6 +14,7 @@
 #include "partition/initial.h"
 #include "partition/kway_partitioner.h"
 #include "partition/refine.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace betty {
@@ -104,6 +105,65 @@ TEST(Coarsen, CutIsPreservedUnderProjection)
             coarse_parts[size_t(level.fineToCoarse[size_t(v)])];
     EXPECT_EQ(g.cutCost(fine_parts),
               level.graph.cutCost(coarse_parts));
+}
+
+/** Heavy-tailed graph: a synthetic power-law graph with weighted
+ * edges, hubs included. */
+WeightedGraph
+powerLawWeighted()
+{
+    SyntheticSpec spec;
+    spec.name = "coarsen_power_law";
+    spec.numNodes = 1200;
+    spec.avgDegree = 10.0;
+    spec.powerLawAlpha = 2.1;
+    spec.featureDim = 4;
+    std::vector<WeightedEdge> edges;
+    for (const Edge& e : makeSyntheticDataset(spec, 23).graph.edgeList())
+        edges.push_back({e.src, e.dst, 1 + (e.src + e.dst) % 7});
+    std::vector<int64_t> vertex_weights(size_t(spec.numNodes));
+    for (int64_t v = 0; v < spec.numNodes; ++v)
+        vertex_weights[size_t(v)] = 1 + v % 3;
+    return WeightedGraph(spec.numNodes, edges,
+                         std::move(vertex_weights));
+}
+
+/** The coarse graph as the edge-list constructor builds it from the
+ * coarse triplets: the reference for coarsen()'s direct contraction. */
+WeightedGraph
+referenceCoarse(const WeightedGraph& g, const CoarseLevel& level)
+{
+    const std::vector<int64_t>& to_coarse = level.fineToCoarse;
+    const int64_t coarse_count = level.graph.numNodes();
+    std::vector<int64_t> vertex_weights(size_t(coarse_count), 0);
+    std::vector<WeightedEdge> triplets;
+    for (int64_t v = 0; v < g.numNodes(); ++v) {
+        vertex_weights[size_t(to_coarse[size_t(v)])] += g.vertexWeight(v);
+        const auto nbrs = g.neighbors(v);
+        const auto wts = g.edgeWeights(v);
+        for (size_t i = 0; i < nbrs.size(); ++i)
+            if (v < nbrs[i])
+                triplets.push_back({to_coarse[size_t(v)],
+                                    to_coarse[size_t(nbrs[i])], wts[i]});
+    }
+    return WeightedGraph(coarse_count, triplets,
+                         std::move(vertex_weights));
+}
+
+TEST(Coarsen, DirectContractionMatchesEdgeListReference)
+{
+    for (const WeightedGraph& fixture : {powerLawWeighted(), twoCliques()}) {
+        // Several levels, so contracted graphs are contracted again.
+        WeightedGraph g = fixture;
+        Rng rng(31);
+        for (int level_index = 0; level_index < 4; ++level_index) {
+            SCOPED_TRACE("level " + std::to_string(level_index));
+            CoarseLevel level = coarsen(g, heavyEdgeMatching(g, rng));
+            testutil::expectSameGraph(level.graph,
+                                      referenceCoarse(g, level));
+            g = std::move(level.graph);
+        }
+    }
 }
 
 TEST(GreedyGrow, AssignsEveryVertex)
