@@ -605,9 +605,14 @@ main(int argc, char** argv)
     multi_config.cachePolicy = cache_policy;
     multi_config.pipeline = !args.no_pipeline;
     std::unique_ptr<MultiDeviceEngine> multi_engine;
-    if (args.devices > 1)
+    if (args.devices > 1) {
         multi_engine = std::make_unique<MultiDeviceEngine>(
             ds, *model, adam, multi_config);
+        // Each device's cache is carved out of its budget, so the
+        // planner must size micro-batches for what is left (the
+        // single-device path reserves through ResilientTrainer).
+        planner.setReservedBytes(multi_config.cacheBytesPerDevice);
+    }
 
     NeighborSampler test_sampler(ds.graph, args.fanouts, 999);
     const auto test_batch = test_sampler.sample(ds.testNodes);

@@ -113,12 +113,12 @@ gemmAvx2(const float* a, const float* b, float* c, int64_t m,
 
 void
 gemmTransAAvx2(const float* a, const float* b, float* c, int64_t m,
-               int64_t k, int64_t n)
+               int64_t k, int64_t n, int64_t lda)
 {
     // k-outer like the scalar reference (C rows accumulate in memory
     // across the k loop — per-element k order preserved).
     for (int64_t kk = 0; kk < k; ++kk) {
-        const float* arow = a + kk * m;
+        const float* arow = a + kk * lda;
         const float* brow = b + kk * n;
         for (int64_t i = 0; i < m; ++i) {
             const float aval = arow[i];

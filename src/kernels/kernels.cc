@@ -10,11 +10,14 @@
  */
 #include "kernels/kernels.h"
 
+#include <algorithm>
+
 #include "kernels/dispatch.h"
 #include "kernels/kernels_internal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace betty::kernels {
 
@@ -43,10 +46,10 @@ gemmScalar(const float* a, const float* b, float* c, int64_t m,
 
 void
 gemmTransAScalar(const float* a, const float* b, float* c, int64_t m,
-                 int64_t k, int64_t n)
+                 int64_t k, int64_t n, int64_t lda)
 {
     for (int64_t kk = 0; kk < k; ++kk) {
-        const float* arow = a + kk * m;
+        const float* arow = a + kk * lda;
         const float* brow = b + kk * n;
         for (int64_t i = 0; i < m; ++i) {
             const float aval = arow[i];
@@ -193,6 +196,43 @@ useAvx2()
 #endif
 }
 
+/** Target work per chunk of a parallel call... */
+constexpr int64_t kChunkWork = int64_t(1) << 19;
+/** ...with at most this many chunks. */
+constexpr int64_t kMaxChunks = 32;
+/** Smallest gemmTransA block: every block streams all of B, so thin
+ * blocks re-read B more often than they compute. */
+constexpr int64_t kTransAMinRows = 32;
+
+/**
+ * Run body(lo, hi) over the output rows [0, rows). Below
+ * kParallelMinWork, or on a one-lane pool, that is a single call over
+ * every row. Otherwise the global pool runs blocks of at least
+ * @p min_rows rows, whose boundaries depend only on (rows, work,
+ * min_rows). @p body writes only rows [lo, hi) of its output, each
+ * with the same instructions whatever the block, so every lane count
+ * gives the same bytes.
+ */
+template <typename Body>
+void
+forRowBlocks(int64_t rows, int64_t work, int64_t min_rows,
+             const Body& body)
+{
+    // Decided before touching the pool: ThreadPool::global() locks.
+    ThreadPool* pool = work >= kParallelMinWork && rows > min_rows
+                           ? &ThreadPool::global()
+                           : nullptr;
+    if (!pool || pool->numThreads() == 1) {
+        body(int64_t(0), rows);
+        return;
+    }
+    const int64_t chunks =
+        std::clamp<int64_t>(work / kChunkWork, 1, kMaxChunks);
+    pool->parallelFor(0, rows,
+                      std::max(min_rows, (rows + chunks - 1) / chunks),
+                      body);
+}
+
 } // namespace
 
 void
@@ -204,11 +244,15 @@ gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
     static obs::Counter& flops = obs::Metrics::counter("kernel.gemm.flops");
     calls.add(1);
     flops.add(2 * m * k * n);
+    [[maybe_unused]] const bool avx2 = useAvx2();
+    forRowBlocks(m, m * k * n, 1, [=](int64_t lo, int64_t hi) {
 #ifdef BETTY_KERNELS_HAVE_AVX2
-    if (useAvx2())
-        return detail::gemmAvx2(a, b, c, m, k, n);
+        if (avx2)
+            return detail::gemmAvx2(a + lo * k, b, c + lo * n, hi - lo,
+                                    k, n);
 #endif
-    detail::gemmScalar(a, b, c, m, k, n);
+        detail::gemmScalar(a + lo * k, b, c + lo * n, hi - lo, k, n);
+    });
 }
 
 void
@@ -220,11 +264,19 @@ gemmTransA(const float* a, const float* b, float* c, int64_t m,
     static obs::Counter& flops = obs::Metrics::counter("kernel.gemm.flops");
     calls.add(1);
     flops.add(2 * m * k * n);
+    // C's rows are the columns of the stored A, so a block keeps the
+    // k-outer loop over its own column slice (row stride m).
+    [[maybe_unused]] const bool avx2 = useAvx2();
+    forRowBlocks(m, m * k * n, kTransAMinRows, [=](int64_t lo,
+                                                   int64_t hi) {
 #ifdef BETTY_KERNELS_HAVE_AVX2
-    if (useAvx2())
-        return detail::gemmTransAAvx2(a, b, c, m, k, n);
+        if (avx2)
+            return detail::gemmTransAAvx2(a + lo, b, c + lo * n,
+                                          hi - lo, k, n, m);
 #endif
-    detail::gemmTransAScalar(a, b, c, m, k, n);
+        detail::gemmTransAScalar(a + lo, b, c + lo * n, hi - lo, k, n,
+                                 m);
+    });
 }
 
 void
@@ -236,11 +288,16 @@ gemmTransB(const float* a, const float* b, float* c, int64_t m,
     static obs::Counter& flops = obs::Metrics::counter("kernel.gemm.flops");
     calls.add(1);
     flops.add(2 * m * k * n);
+    [[maybe_unused]] const bool avx2 = useAvx2();
+    forRowBlocks(m, m * k * n, 1, [=](int64_t lo, int64_t hi) {
 #ifdef BETTY_KERNELS_HAVE_AVX2
-    if (useAvx2())
-        return detail::gemmTransBAvx2(a, b, c, m, k, n);
+        if (avx2)
+            return detail::gemmTransBAvx2(a + lo * k, b, c + lo * n,
+                                          hi - lo, k, n);
 #endif
-    detail::gemmTransBScalar(a, b, c, m, k, n);
+        detail::gemmTransBScalar(a + lo * k, b, c + lo * n, hi - lo, k,
+                                 n);
+    });
 }
 
 void
@@ -254,16 +311,25 @@ gatherAggregate(const float* x, int64_t rows, int64_t cols,
     BETTY_TRACE_SPAN_CAT("kernel/gather_aggregate", "compute");
     static obs::Counter& calls = obs::Metrics::counter("kernel.agg.calls");
     static obs::Counter& edges = obs::Metrics::counter("kernel.agg.edges");
+    const int64_t num_edges = segments > 0 ? offsets[segments] : 0;
     calls.add(1);
-    edges.add(segments > 0 ? offsets[segments] : 0);
+    edges.add(num_edges);
+    // Offsets index the edge arrays absolutely, so a block of
+    // segments only shifts offsets, out and argmax.
+    [[maybe_unused]] const bool avx2 = useAvx2();
+    forRowBlocks(segments, num_edges * cols, 1, [=](int64_t lo,
+                                                    int64_t hi) {
+        int64_t* block_argmax = argmax ? argmax + lo * cols : nullptr;
 #ifdef BETTY_KERNELS_HAVE_AVX2
-    if (useAvx2())
-        return detail::gatherAggregateAvx2(x, rows, cols, sources,
-                                           offsets, segments, reduce,
-                                           out, argmax);
+        if (avx2)
+            return detail::gatherAggregateAvx2(
+                x, rows, cols, sources, offsets + lo, hi - lo, reduce,
+                out + lo * cols, block_argmax);
 #endif
-    detail::gatherAggregateScalar(x, rows, cols, sources, offsets,
-                                  segments, reduce, out, argmax);
+        detail::gatherAggregateScalar(x, rows, cols, sources,
+                                      offsets + lo, hi - lo, reduce,
+                                      out + lo * cols, block_argmax);
+    });
 }
 
 void
@@ -290,15 +356,18 @@ gatherRows(const float* x, int64_t rows, int64_t cols,
     static obs::Counter& gathered =
         obs::Metrics::counter("kernel.gather.rows");
     gathered.add(count);
-    // Row copies are pure bandwidth; memcpy already saturates it, so
-    // both backends share this path (bit-exact by construction).
-    for (int64_t i = 0; i < count; ++i) {
-        const int64_t src = indices[i];
-        BETTY_ASSERT(src >= 0 && src < rows, "gatherRows index ", src,
-                     " out of range");
-        __builtin_memcpy(out + i * cols, x + src * cols,
-                         size_t(cols) * sizeof(float));
-    }
+    // Row copies are pure bandwidth, so both backends share this
+    // memcpy path (bit-exact by construction); splitting the rows
+    // draws on more than one core's share of that bandwidth.
+    forRowBlocks(count, count * cols, 1, [=](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+            const int64_t src = indices[i];
+            BETTY_ASSERT(src >= 0 && src < rows, "gatherRows index ",
+                         src, " out of range");
+            __builtin_memcpy(out + i * cols, x + src * cols,
+                             size_t(cols) * sizeof(float));
+        }
+    });
 }
 
 void

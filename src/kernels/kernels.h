@@ -28,6 +28,18 @@
 
 namespace betty::kernels {
 
+/**
+ * Intra-op parallelism (docs/KERNELS.md): gemm, gemmTransA,
+ * gemmTransB, gatherAggregate and gatherRows split their output rows
+ * over ThreadPool::global() once a call's work — in multiply-adds:
+ * m·k·n, edges·cols or rows·cols — reaches this size; smaller calls
+ * run on the calling thread. Each output element is computed by the
+ * same instructions whatever the split, so results are bit-identical
+ * at every pool size. The scatter kernels (gatherAggregateBackward,
+ * scatterAddRows) stay serial: their output rows collide.
+ */
+constexpr int64_t kParallelMinWork = int64_t(1) << 22;
+
 /** Reduction of a fused gather-aggregate (nn Mean/Sum/Pool paths). */
 enum class Reduce { Sum, Mean, Max };
 

@@ -20,8 +20,10 @@ namespace betty::kernels::detail {
 /** @{ */
 void gemmScalar(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n);
+/** @p lda is the row stride of the stored k x m matrix @p a: a block
+ * of C rows [i0, i1) is computed from a + i0 with m = i1 - i0. */
 void gemmTransAScalar(const float* a, const float* b, float* c,
-                      int64_t m, int64_t k, int64_t n);
+                      int64_t m, int64_t k, int64_t n, int64_t lda);
 void gemmTransBScalar(const float* a, const float* b, float* c,
                       int64_t m, int64_t k, int64_t n);
 void gatherAggregateScalar(const float* x, int64_t rows, int64_t cols,
@@ -49,7 +51,7 @@ void scaleInPlaceScalar(float* y, float alpha, int64_t n);
 void gemmAvx2(const float* a, const float* b, float* c, int64_t m,
               int64_t k, int64_t n);
 void gemmTransAAvx2(const float* a, const float* b, float* c,
-                    int64_t m, int64_t k, int64_t n);
+                    int64_t m, int64_t k, int64_t n, int64_t lda);
 void gemmTransBAvx2(const float* a, const float* b, float* c,
                     int64_t m, int64_t k, int64_t n);
 void gatherAggregateAvx2(const float* x, int64_t rows, int64_t cols,
