@@ -50,7 +50,7 @@ runPanel(const std::string& title, const Dataset& ds,
         BettyConfig config;
         config.deviceCapacityBytes = capacity;
         Betty betty(spec, config);
-        const auto plan = betty.planFast(full);
+        const auto plan = betty.plan(full);
 
         table.addRow({row.label, TablePrinter::num(toGiB(est.peak), 3),
                       est.peak > capacity ? "OOM" : "fits",

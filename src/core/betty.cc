@@ -36,6 +36,7 @@ BettyPartitioner::regFor(const Block& last_block)
         return reg_;
     // Free the old REG first, so two large REGs never coexist.
     has_reg_ = false;
+    hierarchies_.clear();
     reg_ = WeightedGraph();
     reg_ = buildReg(last_block, options_.reg);
     reg_offsets_ = last_block.edgeOffsets();
@@ -80,7 +81,7 @@ BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
         }
     }
     if (parts.empty())
-        parts = kwayPartition(reg, kway);
+        parts = kwayPartition(reg, kway, hierarchies_);
 
     if (obs::Metrics::enabled()) {
         // Partition quality: REG edge weight crossing micro-batch
@@ -107,27 +108,57 @@ BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
     return groupByPart(outputs, parts, k);
 }
 
+int64_t
+MemoryAwarePlanner::lowerBoundK(const MultiLayerBatch& full) const
+{
+    if (capacity_ <= 0)
+        return 1;
+    // Every term of an estimate but the fixed ones is a non-negative
+    // combination of per-block counts, and K micro-batches' counts sum
+    // to at least the full batch's, so sum_i (est_i − fixed) >=
+    // full − fixed. A fitting K has est_i − fixed <= room for every i.
+    const MemoryEstimate est = estimateBatchMemory(full, spec_);
+    const int64_t fixed =
+        est.parameters + est.gradients + est.optimizerStates;
+    const int64_t room = capacity_ - reserved_ - fixed;
+    const int64_t need = est.peak - fixed;
+    if (room <= 0 || need <= 0)
+        return 1;
+    return (need + room - 1) / room;
+}
+
 PlanResult
 MemoryAwarePlanner::evaluateK(const MultiLayerBatch& full,
-                              OutputPartitioner& partitioner,
-                              int32_t k) const
+                              const MicroBatchExtractor& extractor,
+                              OutputPartitioner& partitioner, int32_t k,
+                              bool stop_early) const
 {
     BETTY_TRACE_SPAN_CAT("plan/evaluate_k", "partition");
     PlanResult result;
     result.k = k;
     result.attempts = 1;
-    result.microBatches =
-        extractMicroBatches(full, partitioner.partition(full, k));
-    result.estimates.reserve(result.microBatches.size());
-    int64_t worst = 0;
-    for (const auto& micro : result.microBatches) {
-        result.estimates.push_back(estimateBatchMemory(micro, spec_));
-        worst = std::max(worst, result.estimates.back().peak);
-    }
-    result.maxEstimatedPeak = worst;
+    const auto groups = partitioner.partition(full, k);
     // Standing reservations (the feature cache) shrink the memory a
     // micro-batch may actually use below the nameplate capacity.
-    result.fits = capacity_ <= 0 || worst + reserved_ <= capacity_;
+    auto fits = [&](int64_t peak) {
+        return capacity_ <= 0 || peak + reserved_ <= capacity_;
+    };
+    result.microBatches.reserve(groups.size());
+    result.estimates.reserve(groups.size());
+    for (const auto& group : groups) {
+        {
+            BETTY_TRACE_SPAN_CAT("partition/extract_micro_batches",
+                                 "partition");
+            result.microBatches.push_back(extractor.extract(group));
+        }
+        result.estimates.push_back(
+            estimateBatchMemory(result.microBatches.back(), spec_));
+        const int64_t peak = result.estimates.back().peak;
+        result.maxEstimatedPeak = std::max(result.maxEstimatedPeak, peak);
+        if (stop_early && !fits(peak))
+            break;
+    }
+    result.fits = fits(result.maxEstimatedPeak);
     return result;
 }
 
@@ -140,71 +171,30 @@ MemoryAwarePlanner::plan(const MultiLayerBatch& full,
                  "bad K search range");
     BETTY_TRACE_SPAN_CAT("plan/search", "partition");
     const int64_t num_outputs = int64_t(full.outputNodes().size());
+    const MicroBatchExtractor extractor(full);
 
+    // A linear search from initial_k stops at its first fitting K, or
+    // at the first K >= num_outputs, or at max_k. No K below the bound
+    // fits, so starting at the bound, capped by those stops, returns
+    // the same K.
+    const int32_t start = int32_t(std::max<int64_t>(
+        initial_k, std::min({lowerBoundK(full), int64_t(max_k),
+                             num_outputs})));
     int32_t attempts = 0;
-    for (int32_t k = initial_k; k <= max_k; ++k) {
+    for (int32_t k = start;; ++k) {
         ++attempts;
-        PlanResult result = evaluateK(full, partitioner, k);
-        result.attempts = attempts;
-        if (result.fits) {
-            recordPlanMetrics(result);
-            return result;
-        }
         // Splitting beyond one output node per micro-batch can't help.
-        if (int64_t(k) >= num_outputs || k == max_k)
+        const bool last = int64_t(k) >= num_outputs || k == max_k;
+        PlanResult result =
+            evaluateK(full, extractor, partitioner, k, !last);
+        result.attempts = attempts;
+        if (result.fits || last) {
+            partitioner.endSearch();
+            if (result.fits)
+                recordPlanMetrics(result);
             return result;
-    }
-    panic("unreachable: plan loop must return");
-}
-
-PlanResult
-MemoryAwarePlanner::planGeometric(const MultiLayerBatch& full,
-                                  OutputPartitioner& partitioner,
-                                  int32_t max_k) const
-{
-    BETTY_ASSERT(max_k >= 1, "bad K bound");
-    BETTY_TRACE_SPAN_CAT("plan/search", "partition");
-    const int64_t num_outputs = int64_t(full.outputNodes().size());
-    const int32_t hard_max = int32_t(
-        std::min<int64_t>(max_k, std::max<int64_t>(1, num_outputs)));
-
-    int32_t attempts = 0;
-
-    // Phase 1: double K until something fits (or the bound is hit).
-    int32_t lo = 0; // largest known non-fitting K (0 = none known)
-    int32_t k = 1;
-    PlanResult best;
-    while (true) {
-        ++attempts;
-        PlanResult result = evaluateK(full, partitioner, k);
-        if (result.fits) {
-            best = std::move(result);
-            break;
-        }
-        lo = k;
-        if (k >= hard_max) {
-            result.attempts = attempts;
-            return result; // nothing fits
-        }
-        k = int32_t(std::min<int64_t>(int64_t(k) * 2, hard_max));
-    }
-
-    // Phase 2: binary search (lo, best.k] for the smallest fit.
-    int32_t hi = best.k;
-    while (hi - lo > 1) {
-        const int32_t mid = lo + (hi - lo) / 2;
-        ++attempts;
-        PlanResult result = evaluateK(full, partitioner, mid);
-        if (result.fits) {
-            best = std::move(result);
-            hi = mid;
-        } else {
-            lo = mid;
         }
     }
-    best.attempts = attempts;
-    recordPlanMetrics(best);
-    return best;
 }
 
 } // namespace betty

@@ -57,10 +57,14 @@ struct BettyOptions
  *
  * The REG depends only on the output block, not on K, so the
  * partitioner keeps the last one it built and reuses it while the
- * planner probes K values on the same batch. The cache is keyed by
- * the block's contents (its CSR offsets and sources, compared element
- * by element), never by its address: a batch resampled into the same
- * object gets a fresh REG.
+ * planner probes K values on the same batch. Next to it, it keeps
+ * every K-way restart's coarsening hierarchy of that REG
+ * (CoarseHierarchy), so a probe at a new K coarsens only past the
+ * deepest level an earlier probe built; endSearch() frees them. The
+ * cache is keyed by the block's contents (its CSR offsets and
+ * sources, compared element by element), never by its address: a
+ * batch resampled into the same object gets a fresh REG and fresh
+ * hierarchies.
  */
 class BettyPartitioner : public OutputPartitioner
 {
@@ -75,6 +79,9 @@ class BettyPartitioner : public OutputPartitioner
 
     std::string name() const override { return "betty"; }
 
+    /** Frees the coarsening hierarchies; the REG stays cached. */
+    void endSearch() override { hierarchies_.clear(); }
+
     /** True if the last partition() call reused the previous epoch's
      * assignment (warm start). */
     bool lastRunWasWarm() const { return last_run_was_warm_; }
@@ -82,12 +89,14 @@ class BettyPartitioner : public OutputPartitioner
   private:
     /** The REG of @p last_block: the cached one when the block's
      * adjacency equals the one it was built from, else a new build
-     * (the old REG is freed first). */
+     * (the old REG and its hierarchies are freed first). */
     const WeightedGraph& regFor(const Block& last_block);
 
     BettyOptions options_;
-    // REG reuse: the last REG built and the adjacency it came from.
+    // REG reuse: the last REG built, its restarts' coarsening
+    // hierarchies and the adjacency it came from.
     WeightedGraph reg_;
+    std::vector<CoarseHierarchy> hierarchies_;
     std::vector<int64_t> reg_offsets_;
     std::vector<int64_t> reg_sources_;
     bool has_reg_ = false;
@@ -112,7 +121,8 @@ struct PlanResult
     /** Largest estimated micro-batch peak, bytes. */
     int64_t maxEstimatedPeak = 0;
 
-    /** How many K values were tried before fitting. */
+    /** How many K values were probed, counting from the first one the
+     * search tried (the larger of initial_k and the lower bound). */
     int32_t attempts = 0;
 
     /** False if even maxK micro-batches exceed the capacity. */
@@ -120,10 +130,19 @@ struct PlanResult
 };
 
 /**
- * Memory-aware batch re-partitioning (paper §4.4.3): starting from
- * K = initial_k, partition, extract, estimate every micro-batch's
- * peak memory analytically, and re-partition with K+1 until every
- * micro-batch fits the device budget — no on-device trial and error.
+ * Memory-aware batch re-partitioning (paper §4.4.3): partition,
+ * extract, estimate every micro-batch's peak memory analytically, and
+ * re-partition with K+1 until every micro-batch fits the device
+ * budget — no on-device trial and error.
+ *
+ * The search returns the K a linear search from initial_k returns, at
+ * lower cost (docs/ALGORITHMS.md §2a):
+ *   - it starts at the Table-3 lower bound
+ *     ceil((full − fixed) / (capacity − reserved − fixed)), where full
+ *     is the whole batch's estimate and fixed its parameters,
+ *     gradients and optimizer state, because no smaller K can fit;
+ *   - a probe that is not the last one stops extracting at its first
+ *     micro-batch over the budget, which already proves that K fails.
  */
 class MemoryAwarePlanner
 {
@@ -168,31 +187,27 @@ class MemoryAwarePlanner
     int64_t reservedBytes() const { return reserved_; }
 
     /**
-     * Size K and produce the micro-batches using @p partitioner.
+     * Size K and produce the micro-batches using @p partitioner, then
+     * call its endSearch().
      * @param max_k Safety bound on the search.
      */
     PlanResult plan(const MultiLayerBatch& full,
                     OutputPartitioner& partitioner,
                     int32_t initial_k = 1, int32_t max_k = 4096) const;
 
-    /**
-     * Fast search variant (our extension; the paper's loop is the
-     * strict K -> K+1 of plan()): double K until every micro-batch
-     * fits, then binary-search the gap for the smallest fitting K.
-     * O(log K) partition+estimate rounds instead of O(K). Because the
-     * worst micro-batch's memory is not perfectly monotone in K, the
-     * result can occasionally sit one step above plan()'s minimum; it
-     * always fits (or reports fits=false like plan()).
-     */
-    PlanResult planGeometric(const MultiLayerBatch& full,
-                             OutputPartitioner& partitioner,
-                             int32_t max_k = 4096) const;
-
   private:
-    /** Partition at exactly @p k and estimate every micro-batch. */
+    /** The smallest K the Table-3 bound allows; 1 when the budget is
+     * unlimited or the fixed costs alone leave no room. */
+    int64_t lowerBoundK(const MultiLayerBatch& full) const;
+
+    /** Partition at exactly @p k and estimate each micro-batch as it
+     * is extracted. With @p stop_early, stop at the first one that
+     * does not fit (the result then holds the micro-batches up to it
+     * and reports fits = false). */
     PlanResult evaluateK(const MultiLayerBatch& full,
-                         OutputPartitioner& partitioner,
-                         int32_t k) const;
+                         const MicroBatchExtractor& extractor,
+                         OutputPartitioner& partitioner, int32_t k,
+                         bool stop_early) const;
 
     GnnSpec spec_;
     int64_t capacity_;
@@ -232,14 +247,6 @@ class Betty
     {
         return planner_.plan(full, partitioner_, config_.initialK,
                              config_.maxK);
-    }
-
-    /** Like plan() but with the O(log K) geometric search. */
-    PlanResult
-    planFast(const MultiLayerBatch& full)
-    {
-        return planner_.planGeometric(full, partitioner_,
-                                      config_.maxK);
     }
 
     /** Partition @p full into exactly @p k micro-batches (no planner). */

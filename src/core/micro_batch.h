@@ -16,11 +16,34 @@
 #define BETTY_CORE_MICRO_BATCH_H
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "sampling/block.h"
 
 namespace betty {
+
+/**
+ * Extracts the micro-batches of one full batch one group at a time.
+ * Construction indexes the full batch's destinations once, so a caller
+ * that probes many K on one batch, or stops before the last group (the
+ * planner's failing probes), pays that index once and extracts only
+ * what it uses. @p full must outlive the extractor.
+ */
+class MicroBatchExtractor
+{
+  public:
+    explicit MicroBatchExtractor(const MultiLayerBatch& full);
+
+    /** The micro-batch of one output-node group; see
+     * extractMicroBatches. */
+    MultiLayerBatch extract(const std::vector<int64_t>& group) const;
+
+  private:
+    const MultiLayerBatch& full_;
+    // Per layer: raw-graph id -> local destination index.
+    std::vector<std::unordered_map<int64_t, int64_t>> dst_local_;
+};
 
 /**
  * Extract one micro-batch per output-node group. Groups hold raw-graph

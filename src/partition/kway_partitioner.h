@@ -23,9 +23,12 @@
 #define BETTY_PARTITION_KWAY_PARTITIONER_H
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/weighted_graph.h"
+#include "partition/coarsen.h"
+#include "util/rng.h"
 
 namespace betty {
 
@@ -56,6 +59,51 @@ struct KwayOptions
 };
 
 /**
+ * One restart's coarsening levels of one graph, grown on demand.
+ *
+ * In a V-cycle, k only sets where coarsening stops: at
+ * max(k * coarsenToPerPart, 64) vertices, or at the first matching
+ * that keeps more than 95% of the vertices. For a given graph and
+ * restart seed the levels are therefore the same at every k. The
+ * hierarchy keeps every level built so far and the Rng state after
+ * each matching, the one the 95% rule rejected included, so a V-cycle
+ * at any k takes the prefix it needs, builds only the levels below the
+ * deepest one built so far, and continues from exactly the Rng state a
+ * V-cycle that coarsened from scratch would have reached.
+ */
+class CoarseHierarchy
+{
+  public:
+    /** @param seed The restart's Rng seed. */
+    explicit CoarseHierarchy(uint64_t seed) : seed_(seed), after_{Rng(seed)}
+    {
+    }
+
+    uint64_t seed() const { return seed_; }
+
+    /**
+     * Coarsen @p graph (the graph every call must pass) until at most
+     * @p target vertices remain or the 95% rule stops it, building
+     * only missing levels. Returns how many levels that takes; @p rng
+     * receives the state after the last matching made on the way.
+     */
+    size_t coarsenTo(const WeightedGraph& graph, int64_t target,
+                     Rng& rng);
+
+    /** Level @p i (0 = the first coarsening of the input graph). */
+    const CoarseLevel& level(size_t i) const { return levels_[i]; }
+
+  private:
+    uint64_t seed_;
+    std::vector<CoarseLevel> levels_;
+    // after_[i]: the Rng state once levels 0..i-1 are matched.
+    std::vector<Rng> after_;
+    // The state after the matching below the last level, once the 95%
+    // rule has rejected it; no level below the last is ever built.
+    std::optional<Rng> rejected_;
+};
+
+/**
  * Partition @p graph into opts.k parts minimizing the weighted edge
  * cut. Returns a part id in [0, k) for every vertex. Handles k = 1,
  * graphs with isolated vertices, and graphs smaller than k (parts may
@@ -63,6 +111,18 @@ struct KwayOptions
  */
 std::vector<int32_t> kwayPartition(const WeightedGraph& graph,
                                    const KwayOptions& opts);
+
+/**
+ * kwayPartition reusing coarsening across calls on one graph: @p
+ * hierarchies holds one CoarseHierarchy per restart. An empty vector
+ * is filled; a filled one must come from an earlier call with the
+ * same graph, seed and restarts. Each restart's hierarchy is written
+ * only by the task running that restart. The result equals
+ * kwayPartition(graph, opts) at every k, in any order of calls.
+ */
+std::vector<int32_t> kwayPartition(
+    const WeightedGraph& graph, const KwayOptions& opts,
+    std::vector<CoarseHierarchy>& hierarchies);
 
 /** Largest part weight divided by perfect balance (1.0 = perfect). */
 double partitionImbalance(const WeightedGraph& graph,

@@ -43,6 +43,10 @@ class OutputPartitioner
 
     /** Short name used in benchmark tables ("range", "betty", ...). */
     virtual std::string name() const = 0;
+
+    /** Called when a K search on one batch ends: a partitioner may
+     * free what it kept to make the search's probes cheaper. */
+    virtual void endSearch() {}
 };
 
 /** Evenly sized contiguous chunks of the ID-sorted output nodes. */

@@ -166,6 +166,147 @@ TEST(Coarsen, DirectContractionMatchesEdgeListReference)
     }
 }
 
+// -------------------------------------------------------------------
+// Coarsening shared across K.
+
+/**
+ * The V-cycle written out with no shared coarsening: every run
+ * coarsens its graph from scratch. This is the reference that
+ * kwayPartition with reused hierarchies must reproduce exactly.
+ * @p stalled is set when some run's coarsening ended on the 95% rule.
+ */
+std::vector<int32_t>
+coldKway(const WeightedGraph& graph, const KwayOptions& opts,
+         bool* stalled = nullptr)
+{
+    if (opts.k == 1 || graph.numNodes() == 0)
+        return std::vector<int32_t>(size_t(graph.numNodes()), 0);
+    const int64_t target =
+        std::max<int64_t>(opts.k * opts.coarsenToPerPart, 64);
+    std::vector<int32_t> best;
+    int64_t best_cut = 0;
+    for (int32_t run = 0; run < std::max<int32_t>(1, opts.restarts);
+         ++run) {
+        Rng rng(opts.seed + uint64_t(run) * 0x9e3779b9ULL);
+        std::vector<CoarseLevel> levels;
+        const WeightedGraph* current = &graph;
+        while (current->numNodes() > target) {
+            CoarseLevel level =
+                coarsen(*current, heavyEdgeMatching(*current, rng));
+            if (level.graph.numNodes() >
+                int64_t(double(current->numNodes()) * 0.95)) {
+                if (stalled)
+                    *stalled = true;
+                break;
+            }
+            levels.push_back(std::move(level));
+            current = &levels.back().graph;
+        }
+        auto parts = greedyGrowPartition(*current, opts.k, rng);
+        rebalance(*current, parts, opts.k, opts.imbalance, rng);
+        refineKway(*current, parts, opts.k, opts.imbalance,
+                   opts.refinePasses, rng);
+        for (size_t d = levels.size(); d > 0; --d) {
+            const WeightedGraph& finer =
+                d == 1 ? graph : levels[d - 2].graph;
+            std::vector<int32_t> fine(size_t(finer.numNodes()));
+            for (int64_t v = 0; v < finer.numNodes(); ++v)
+                fine[size_t(v)] = parts[size_t(
+                    levels[d - 1].fineToCoarse[size_t(v)])];
+            parts = std::move(fine);
+            rebalance(finer, parts, opts.k, opts.imbalance, rng);
+            refineKway(finer, parts, opts.k, opts.imbalance,
+                       opts.refinePasses, rng);
+        }
+        const int64_t cut = graph.cutCost(parts);
+        if (best.empty() || cut < best_cut) {
+            best = std::move(parts);
+            best_cut = cut;
+        }
+    }
+    return best;
+}
+
+/** A ring of 2000 vertices plus 600 isolated ones: matching halves
+ * the ring at each level while the isolated vertices stay singletons,
+ * so coarsening stalls on the 95% rule a few levels down, above the
+ * 64-vertex floor. */
+WeightedGraph
+ringWithIsolated()
+{
+    std::vector<WeightedEdge> edges;
+    for (int64_t v = 0; v < 2000; ++v)
+        edges.push_back({v, (v + 1) % 2000, 1 + v % 3});
+    return WeightedGraph(2600, edges);
+}
+
+/** K sequences in ascending, descending and shuffled order. */
+std::vector<std::vector<int32_t>>
+kOrders(int32_t lo, int32_t hi)
+{
+    std::vector<int32_t> ascending;
+    for (int32_t k = lo; k <= hi; ++k)
+        ascending.push_back(k);
+    std::vector<int32_t> descending(ascending.rbegin(), ascending.rend());
+    std::vector<int32_t> shuffled = ascending;
+    Rng rng(91);
+    rng.shuffle(shuffled);
+    return {ascending, descending, shuffled};
+}
+
+TEST(CoarseHierarchy, StallFixtureStallsAndTinyGraphNeverCoarsens)
+{
+    KwayOptions opts;
+    opts.k = 2;
+    bool stalled = false;
+    coldKway(ringWithIsolated(), opts, &stalled);
+    EXPECT_TRUE(stalled) << "the fixture must reach the 95% rule";
+
+    // At or below 64 vertices nothing coarsens: the hierarchy stays
+    // empty and the Rng is the seed state.
+    CoarseHierarchy hierarchy(7);
+    Rng rng(1);
+    EXPECT_EQ(hierarchy.coarsenTo(twoCliques(), 64, rng), 0u);
+    Rng seed_state(7);
+    EXPECT_EQ(rng.next(), seed_state.next());
+}
+
+TEST(CoarseHierarchy, ReuseEqualsColdVCycleInAnyKOrder)
+{
+    struct Fixture
+    {
+        const char* name;
+        WeightedGraph graph;
+        int32_t maxK;
+    };
+    const std::vector<Fixture> fixtures = {
+        {"power law", powerLawWeighted(), 24},
+        {"95% stall", ringWithIsolated(), 12},
+        {"20 vertices", twoCliques(), 24},
+    };
+    for (const Fixture& fixture : fixtures) {
+        for (const int32_t restarts : {1, 3}) {
+            for (const auto& order : kOrders(1, fixture.maxK)) {
+                SCOPED_TRACE(std::string(fixture.name) + ", restarts " +
+                             std::to_string(restarts) + ", first K " +
+                             std::to_string(order.front()));
+                std::vector<CoarseHierarchy> hierarchies;
+                for (const int32_t k : order) {
+                    KwayOptions opts;
+                    opts.k = k;
+                    opts.restarts = restarts;
+                    const auto reused =
+                        kwayPartition(fixture.graph, opts, hierarchies);
+                    EXPECT_EQ(reused, coldKway(fixture.graph, opts))
+                        << "K " << k;
+                    EXPECT_EQ(reused, kwayPartition(fixture.graph, opts))
+                        << "K " << k;
+                }
+            }
+        }
+    }
+}
+
 TEST(GreedyGrow, AssignsEveryVertex)
 {
     const auto g = randomGraph(150, 3, 10);

@@ -389,5 +389,114 @@ TEST_F(KwayRestarts, TiedCutsGoToRunZero)
     }
 }
 
+/** What a fresh partitioner returns at @p k: a one-shot solve on a
+ * freshly built REG. */
+std::vector<std::vector<int64_t>>
+freshBettyGroups(const MultiLayerBatch& batch, KwayOptions opts,
+                 int32_t k)
+{
+    opts.k = k;
+    if (k == 1) {
+        const auto outputs = batch.outputNodes();
+        return {std::vector<int64_t>(outputs.begin(), outputs.end())};
+    }
+    return groupByPart(batch.outputNodes(),
+                       kwayPartition(buildReg(batch.blocks.back()), opts),
+                       k);
+}
+
+/** A 4000-node ring sampled from every 10th node: no two outputs
+ * share an in-neighbour, so the REG has no edges and coarsening stops
+ * on the 95% rule at its first matching. */
+MultiLayerBatch
+edgelessRegBatch()
+{
+    std::vector<Edge> edges;
+    for (int64_t v = 0; v < 4000; ++v) {
+        edges.push_back({v, (v + 1) % 4000});
+        edges.push_back({(v + 1) % 4000, v});
+    }
+    const CsrGraph ring(4000, edges);
+    std::vector<int64_t> seeds;
+    for (int64_t v = 0; v < 4000; v += 10)
+        seeds.push_back(v);
+    return NeighborSampler(ring, {2, 2}, 7).sample(seeds);
+}
+
+TEST_F(KwayRestarts, ReusedHierarchyMatchesFreshSolveAtEveryPoolSize)
+{
+    const CsrGraph graph = powerLawGraph();
+    NeighborSampler sampler(graph, {4, 6}, 7);
+    struct Case
+    {
+        const char* name;
+        MultiLayerBatch batch;
+    };
+    const std::vector<Case> cases = {
+        {"power law",
+         sampler.sample(seedNodes(graph, 384, graph.numNodes() / 3))},
+        {"48 outputs", sampler.sample(seedNodes(graph, 48, 0))},
+        {"edgeless REG", edgelessRegBatch()},
+    };
+    ASSERT_EQ(buildReg(cases[2].batch.blocks.back()).numEdges(), 0);
+
+    std::vector<int32_t> ascending;
+    for (int32_t k = 1; k <= 20; ++k)
+        ascending.push_back(k);
+    std::vector<int32_t> shuffled = ascending;
+    Rng rng(17);
+    rng.shuffle(shuffled);
+    const std::vector<std::vector<int32_t>> orders = {
+        ascending,
+        std::vector<int32_t>(ascending.rbegin(), ascending.rend()),
+        shuffled};
+
+    for (const Case& c : cases) {
+        for (const int32_t restarts : {1, 3}) {
+            BettyOptions options;
+            options.kway.restarts = restarts;
+            ThreadPool::setGlobalThreads(1);
+            std::vector<std::vector<std::vector<int64_t>>> fresh;
+            for (const int32_t k : ascending)
+                fresh.push_back(freshBettyGroups(c.batch, options.kway, k));
+            for (const int32_t threads : {1, 2, 4}) {
+                ThreadPool::setGlobalThreads(threads);
+                for (const auto& order : orders) {
+                    BettyPartitioner partitioner(options);
+                    for (const int32_t k : order)
+                        EXPECT_EQ(partitioner.partition(c.batch, k),
+                                  fresh[size_t(k - 1)])
+                            << c.name << ", restarts " << restarts
+                            << ", threads " << threads << ", first K "
+                            << order.front() << ", K " << k;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KwayRestarts, ResampledBatchDropsTheHierarchy)
+{
+    const CsrGraph graph = powerLawGraph();
+    NeighborSampler sampler(graph, {4, 6}, 7);
+    ThreadPool::setGlobalThreads(2);
+    MultiLayerBatch batch =
+        sampler.sample(seedNodes(graph, 384, graph.numNodes() / 3));
+    BettyPartitioner partitioner;
+    // Deep levels first (small K), so the stale hierarchy would be
+    // reusable at every K below.
+    for (const int32_t k : {2, 6, 12})
+        partitioner.partition(batch, k);
+
+    // A different batch sampled into the same object.
+    const MultiLayerBatch* address = &batch;
+    batch = sampler.sample(seedNodes(graph, 384, 100));
+    ASSERT_EQ(&batch, address);
+    for (const int32_t k : {12, 3, 6, 2})
+        EXPECT_EQ(partitioner.partition(batch, k),
+                  freshBettyGroups(batch, KwayOptions{}, k))
+            << "K " << k;
+}
+
 } // namespace
 } // namespace betty

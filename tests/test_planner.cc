@@ -2,10 +2,14 @@
  * @file
  * Tests for the memory-aware planner (§4.4.3 re-partitioning loop).
  */
+#include <algorithm>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/betty.h"
 #include "data/catalog.h"
+#include "nn/models.h"
 #include "obs/metrics.h"
 #include "partition/partitioner.h"
 #include "partition/reg.h"
@@ -37,6 +41,28 @@ struct Env
     MultiLayerBatch full;
     GnnSpec spec;
 };
+
+/** Parameters, gradients and optimizer state: the bytes every
+ * micro-batch carries whatever its size. */
+int64_t
+fixedBytes(const MemoryEstimate& est)
+{
+    return est.parameters + est.gradients + est.optimizerStates;
+}
+
+/** The Table-3 lower bound on K, ceil((full − fixed) / room), computed
+ * here independently of the planner; 1 when room <= 0. */
+int64_t
+tableThreeBound(const MultiLayerBatch& full, const GnnSpec& spec,
+                int64_t capacity, int64_t reserved)
+{
+    const auto est = estimateBatchMemory(full, spec);
+    const int64_t room = capacity - reserved - fixedBytes(est);
+    if (room <= 0)
+        return 1;
+    const int64_t need = est.peak - fixedBytes(est);
+    return std::max<int64_t>(1, (need + room - 1) / room);
+}
 
 TEST(Planner, UnlimitedCapacityKeepsKOne)
 {
@@ -71,7 +97,11 @@ TEST(Planner, TightCapacityIncreasesK)
     const auto plan = planner.plan(env.full, part);
     EXPECT_TRUE(plan.fits);
     EXPECT_GT(plan.k, 1);
-    EXPECT_EQ(plan.attempts, plan.k);
+    // One probe per K, from the Table-3 bound up to the answer.
+    const int64_t bound = tableThreeBound(env.full, env.spec,
+                                          full_est.peak * 3 / 4, 0);
+    EXPECT_GE(plan.k, bound);
+    EXPECT_EQ(plan.attempts, plan.k - bound + 1);
     EXPECT_LE(plan.maxEstimatedPeak, full_est.peak * 3 / 4);
 }
 
@@ -134,69 +164,6 @@ TEST(Planner, WorksWithBaselinePartitioners)
         EXPECT_TRUE(plan.fits) << part->name();
         EXPECT_GT(plan.k, 1) << part->name();
     }
-}
-
-TEST(PlannerGeometric, MatchesLinearSearchResult)
-{
-    Env env;
-    const auto full_est = estimateBatchMemory(env.full, env.spec);
-    // Divisor 2 fits at this scale; tighter budgets fall below the
-    // fixed-cost floor (params + optimizer states live in EVERY
-    // micro-batch) and must be reported unfittable by BOTH searches.
-    for (int64_t divisor : {2, 3, 5}) {
-        const int64_t budget = full_est.peak / divisor;
-        MemoryAwarePlanner planner(env.spec, budget);
-        BettyPartitioner part;
-        const auto linear = planner.plan(env.full, part);
-        const auto fast = planner.planGeometric(env.full, part);
-        ASSERT_EQ(linear.fits, fast.fits) << "divisor " << divisor;
-        if (linear.fits) {
-            // Never below the strict minimum (linear returns the
-            // first fitting K, so any fitting K is >= it). Above it,
-            // worst-case memory is not monotone in K — repartitioning
-            // can make the worst micro-batch of K+1 larger than K's —
-            // so the binary search may skip past a fitting K it never
-            // probed and settle a couple of steps high.
-            EXPECT_GE(fast.k, linear.k) << "divisor " << divisor;
-            EXPECT_LE(fast.k, linear.k + 2) << "divisor " << divisor;
-            EXPECT_LE(fast.maxEstimatedPeak, budget);
-        }
-    }
-}
-
-TEST(PlannerGeometric, FewerAttemptsWhenKIsLarge)
-{
-    // Whether or not the tight budget fits, geometric probing must
-    // reach its conclusion in O(log K) rounds where linear needs O(K).
-    Env env;
-    const auto full_est = estimateBatchMemory(env.full, env.spec);
-    MemoryAwarePlanner planner(env.spec, full_est.peak / 8);
-    BettyPartitioner part;
-    const auto linear = planner.plan(env.full, part);
-    const auto fast = planner.planGeometric(env.full, part);
-    EXPECT_EQ(linear.fits, fast.fits);
-    if (linear.attempts >= 8)
-        EXPECT_LT(fast.attempts, linear.attempts / 2);
-}
-
-TEST(PlannerGeometric, UnlimitedCapacityIsKOne)
-{
-    Env env;
-    MemoryAwarePlanner planner(env.spec, 0);
-    BettyPartitioner part;
-    const auto plan = planner.planGeometric(env.full, part);
-    EXPECT_TRUE(plan.fits);
-    EXPECT_EQ(plan.k, 1);
-    EXPECT_EQ(plan.attempts, 1);
-}
-
-TEST(PlannerGeometric, ImpossibleBudgetReportsNoFit)
-{
-    Env env;
-    MemoryAwarePlanner planner(env.spec, 1000);
-    BettyPartitioner part;
-    const auto plan = planner.planGeometric(env.full, part);
-    EXPECT_FALSE(plan.fits);
 }
 
 /** A partitioner with a deliberately pathological K: for one chosen
@@ -309,36 +276,6 @@ TEST(Planner, LinearSearchSurvivesNonMonotoneWorstCase)
     EXPECT_LE(from_bad.maxEstimatedPeak, worst_at_3);
 }
 
-TEST(PlannerGeometric, NonMonotoneWorstCaseStillFindsAFit)
-{
-    Env env;
-    constexpr int32_t kBadK = 4;
-    SpitefulPartitioner part(kBadK);
-    MemoryAwarePlanner probe(env.spec, 0);
-    const int64_t worst_at_3 =
-        probe.plan(env.full, part, 3).maxEstimatedPeak;
-
-    // The geometric search may probe the pathological K and settle
-    // above the strict minimum, but whatever it returns must fit.
-    MemoryAwarePlanner planner(env.spec, worst_at_3);
-    const auto fast = planner.planGeometric(env.full, part);
-    ASSERT_TRUE(fast.fits);
-    EXPECT_LE(fast.maxEstimatedPeak, worst_at_3);
-    EXPECT_GE(fast.k, 2);
-}
-
-TEST(BettyFacade, PlanFastFitsBudget)
-{
-    Env env;
-    const auto full_est = estimateBatchMemory(env.full, env.spec);
-    BettyConfig config;
-    config.deviceCapacityBytes = full_est.peak * 3 / 5;
-    Betty betty(env.spec, config);
-    const auto plan = betty.planFast(env.full);
-    ASSERT_TRUE(plan.fits);
-    EXPECT_LE(plan.maxEstimatedPeak, config.deviceCapacityBytes);
-}
-
 TEST(BettyFacade, PlanAndPartition)
 {
     Env env;
@@ -435,6 +372,284 @@ TEST(Planner, OneRegPerBatchAcrossProbes)
     const int64_t after_fresh = regBuilds();
     part.partition(env.full, plan.k + 1);
     EXPECT_EQ(regBuilds(), after_fresh);
+}
+
+// -------------------------------------------------------------------
+// The search's lower bound and early exit, against a linear search.
+
+/** What a linear search from K = 1 returns, written out by hand:
+ * every K is extracted in full and the first fitting one is kept. At
+ * every K it probes, it checks the bound's premise: K micro-batches
+ * together carry at least the full batch's non-fixed bytes. */
+PlanResult
+referenceLinearSearch(const MultiLayerBatch& full, const GnnSpec& spec,
+                      OutputPartitioner& part, int64_t capacity,
+                      int64_t reserved, int32_t max_k)
+{
+    const auto full_est = estimateBatchMemory(full, spec);
+    const int64_t fixed = fixedBytes(full_est);
+    const int64_t outputs = int64_t(full.outputNodes().size());
+    PlanResult result;
+    for (int32_t k = 1; k <= max_k; ++k) {
+        result = PlanResult();
+        result.k = k;
+        result.microBatches =
+            extractMicroBatches(full, part.partition(full, k));
+        int64_t excess = 0;
+        for (const auto& micro : result.microBatches) {
+            result.estimates.push_back(estimateBatchMemory(micro, spec));
+            const int64_t peak = result.estimates.back().peak;
+            result.maxEstimatedPeak =
+                std::max(result.maxEstimatedPeak, peak);
+            excess += peak - fixed;
+        }
+        EXPECT_GE(excess, full_est.peak - fixed) << "K = " << k;
+        result.fits = capacity <= 0 ||
+                      result.maxEstimatedPeak + reserved <= capacity;
+        if (result.fits || k >= outputs)
+            break;
+    }
+    return result;
+}
+
+void
+expectSameBatch(const MultiLayerBatch& got, const MultiLayerBatch& want)
+{
+    ASSERT_EQ(got.blocks.size(), want.blocks.size());
+    for (size_t layer = 0; layer < got.blocks.size(); ++layer) {
+        const Block& a = got.blocks[layer];
+        const Block& b = want.blocks[layer];
+        EXPECT_EQ(a.numDst(), b.numDst()) << "layer " << layer;
+        EXPECT_EQ(a.srcNodes(), b.srcNodes()) << "layer " << layer;
+        EXPECT_EQ(a.edgeOffsets(), b.edgeOffsets()) << "layer " << layer;
+        EXPECT_EQ(a.edgeSources(), b.edgeSources()) << "layer " << layer;
+    }
+}
+
+void
+expectSameEstimate(const MemoryEstimate& got, const MemoryEstimate& want)
+{
+    EXPECT_EQ(got.parameters, want.parameters);
+    EXPECT_EQ(got.inputFeatures, want.inputFeatures);
+    EXPECT_EQ(got.labels, want.labels);
+    EXPECT_EQ(got.blocks, want.blocks);
+    EXPECT_EQ(got.hidden, want.hidden);
+    EXPECT_EQ(got.aggregator, want.aggregator);
+    EXPECT_EQ(got.gradients, want.gradients);
+    EXPECT_EQ(got.optimizerStates, want.optimizerStates);
+    EXPECT_EQ(got.backwardBuffers, want.backwardBuffers);
+    EXPECT_EQ(got.peak, want.peak);
+}
+
+/** plan() must return the reference's K, micro-batches and estimates. */
+void
+expectSamePlan(const PlanResult& got, const PlanResult& want)
+{
+    EXPECT_EQ(got.k, want.k);
+    EXPECT_EQ(got.fits, want.fits);
+    EXPECT_EQ(got.maxEstimatedPeak, want.maxEstimatedPeak);
+    ASSERT_EQ(got.microBatches.size(), want.microBatches.size());
+    for (size_t i = 0; i < got.microBatches.size(); ++i)
+        expectSameBatch(got.microBatches[i], want.microBatches[i]);
+    ASSERT_EQ(got.estimates.size(), want.estimates.size());
+    for (size_t i = 0; i < got.estimates.size(); ++i)
+        expectSameEstimate(got.estimates[i], want.estimates[i]);
+}
+
+/** Every model family the estimator prices, at test size. */
+std::vector<std::pair<std::string, GnnSpec>>
+sweepModels(const Dataset& ds)
+{
+    std::vector<std::pair<std::string, GnnSpec>> models;
+    SageConfig sage;
+    sage.inputDim = ds.featureDim();
+    sage.hiddenDim = 16;
+    sage.numClasses = ds.numClasses;
+    for (const AggregatorKind agg :
+         {AggregatorKind::Mean, AggregatorKind::Sum, AggregatorKind::Pool,
+          AggregatorKind::Lstm}) {
+        sage.aggregator = agg;
+        models.emplace_back("sage-" + aggregatorName(agg),
+                            GraphSage(sage).memorySpec());
+    }
+    StackConfig stack;
+    stack.inputDim = ds.featureDim();
+    stack.hiddenDim = 16;
+    stack.numClasses = ds.numClasses;
+    models.emplace_back("gcn", Gcn(stack).memorySpec());
+    models.emplace_back("gin", Gin(stack).memorySpec());
+    GatConfig gat;
+    gat.inputDim = ds.featureDim();
+    gat.hiddenDim = 8;
+    gat.numClasses = ds.numClasses;
+    gat.numHeads = 2;
+    models.emplace_back("gat", Gat(gat).memorySpec());
+    return models;
+}
+
+TEST(PlannerBound, SameResultAsLinearSearchFromKOne)
+{
+    // Dataset x model x budget x reservation. The budget leaves a
+    // share of the full batch's non-fixed bytes as room per
+    // micro-batch; the smallest share needs K well above the bound,
+    // because micro-batches duplicate shared inputs.
+    struct Source
+    {
+        const char* name;
+        double scale;
+    };
+    for (const Source source : {Source{"arxiv_like", 0.03},
+                                Source{"pubmed_like", 0.05}}) {
+        const Dataset ds = loadCatalogDataset(source.name, source.scale, 41);
+        NeighborSampler sampler(ds.graph, {5, 8}, 42);
+        const std::vector<int64_t> seeds(ds.trainNodes.begin(),
+                                         ds.trainNodes.begin() + 120);
+        const MultiLayerBatch full = sampler.sample(seeds);
+        for (const auto& [model, spec] : sweepModels(ds)) {
+            const auto full_est = estimateBatchMemory(full, spec);
+            const int64_t need = full_est.peak - fixedBytes(full_est);
+            for (const double share : {0.6, 0.25, 0.1}) {
+                for (const int64_t reserved : {int64_t(0), need / 8}) {
+                    SCOPED_TRACE(std::string(source.name) + " " + model +
+                                 " share " + std::to_string(share) +
+                                 " reserved " + std::to_string(reserved));
+                    const int64_t capacity = fixedBytes(full_est) +
+                                             reserved +
+                                             int64_t(double(need) * share);
+                    BettyPartitioner reference_part;
+                    const auto want = referenceLinearSearch(
+                        full, spec, reference_part, capacity, reserved,
+                        4096);
+                    MemoryAwarePlanner planner(spec, capacity);
+                    planner.setReservedBytes(reserved);
+                    BettyPartitioner part;
+                    const auto got = planner.plan(full, part);
+                    expectSamePlan(got, want);
+                    const int64_t bound =
+                        tableThreeBound(full, spec, capacity, reserved);
+                    EXPECT_GE(got.k, bound);
+                    EXPECT_EQ(got.attempts, got.k - bound + 1);
+                }
+            }
+        }
+    }
+}
+
+TEST(PlannerBound, SameResultUnderNonMonotonePartitioner)
+{
+    Env env;
+    const auto full_est = estimateBatchMemory(env.full, env.spec);
+    const int64_t need = full_est.peak - fixedBytes(full_est);
+    // Spite the K each budget's bound starts at, and the one above.
+    for (const double share : {0.6, 0.3, 0.15}) {
+        const int64_t capacity =
+            fixedBytes(full_est) + int64_t(double(need) * share);
+        const int64_t bound =
+            tableThreeBound(env.full, env.spec, capacity, 0);
+        for (const int64_t bad_k : {bound, bound + 1}) {
+            SCOPED_TRACE("share " + std::to_string(share) + " bad K " +
+                         std::to_string(bad_k));
+            SpitefulPartitioner part{int32_t(bad_k)};
+            const auto want = referenceLinearSearch(
+                env.full, env.spec, part, capacity, 0, 4096);
+            MemoryAwarePlanner planner(env.spec, capacity);
+            expectSamePlan(planner.plan(env.full, part), want);
+        }
+    }
+}
+
+TEST(PlannerBound, NoRoomKeepsTheLinearSearch)
+{
+    // The fixed costs plus the reservation fill the device: no K fits,
+    // so there is no bound and the search probes from initial_k.
+    Env env;
+    const auto full_est = estimateBatchMemory(env.full, env.spec);
+    const int64_t reserved = 4096;
+    for (const int64_t capacity :
+         {fixedBytes(full_est) + reserved, fixedBytes(full_est) - 1}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        BettyPartitioner reference_part;
+        const auto want = referenceLinearSearch(
+            env.full, env.spec, reference_part, capacity, reserved, 6);
+        MemoryAwarePlanner planner(env.spec, capacity);
+        planner.setReservedBytes(reserved);
+        BettyPartitioner part;
+        const auto got = planner.plan(env.full, part, 1, 6);
+        expectSamePlan(got, want);
+        EXPECT_FALSE(got.fits);
+        EXPECT_EQ(got.attempts, 6);
+    }
+}
+
+int64_t
+structureBytesCounted()
+{
+    return obs::Metrics::counter("micro_batch.structure_bytes").value();
+}
+
+int64_t
+structureBytes(const std::vector<MultiLayerBatch>& micros)
+{
+    int64_t total = 0;
+    for (const auto& micro : micros)
+        total += micro.structureBytes();
+    return total;
+}
+
+TEST(PlannerEarlyExit, FailingProbeStopsAtFirstOverBudgetMicroBatch)
+{
+    Env env;
+    // Parameters alone exceed this budget, so the first micro-batch of
+    // every K is over it: each failing probe extracts exactly one, and
+    // only the final probe (max_k) extracts all of its micro-batches.
+    constexpr int32_t kMaxK = 8;
+    BettyPartitioner reference;
+    int64_t expected = 0;
+    int64_t full_extraction = 0;
+    for (int32_t k = 1; k <= kMaxK; ++k) {
+        const auto micros =
+            extractMicroBatches(env.full, reference.partition(env.full, k));
+        full_extraction += structureBytes(micros);
+        expected += k < kMaxK ? micros.front().structureBytes()
+                              : structureBytes(micros);
+    }
+
+    MetricsEnabledScope metrics;
+    MemoryAwarePlanner planner(env.spec, 1000);
+    BettyPartitioner part;
+    const int64_t before = structureBytesCounted();
+    const auto plan = planner.plan(env.full, part, 1, kMaxK);
+    ASSERT_FALSE(plan.fits);
+    EXPECT_EQ(plan.attempts, kMaxK);
+    EXPECT_EQ(structureBytesCounted() - before, expected);
+    EXPECT_LT(expected, full_extraction);
+}
+
+TEST(PlannerEarlyExit, FailingProbesExtractLessThanKBeforeAFit)
+{
+    Env env;
+    const auto full_est = estimateBatchMemory(env.full, env.spec);
+    const int64_t capacity = full_est.peak / 2;
+
+    MetricsEnabledScope metrics;
+    MemoryAwarePlanner planner(env.spec, capacity);
+    BettyPartitioner part;
+    const int64_t before = structureBytesCounted();
+    const auto plan = planner.plan(env.full, part);
+    const int64_t counted = structureBytesCounted() - before;
+    ASSERT_TRUE(plan.fits);
+    ASSERT_GE(plan.attempts, 2) << "needs a failing probe";
+    ASSERT_EQ(plan.microBatches.size(), size_t(plan.k));
+
+    // What the failing probes would have extracted in full.
+    BettyPartitioner reference;
+    int64_t failing_full = 0;
+    for (int32_t k = plan.k - plan.attempts + 1; k < plan.k; ++k)
+        failing_full += structureBytes(extractMicroBatches(
+            env.full, reference.partition(env.full, k)));
+    const int64_t failing = counted - structureBytes(plan.microBatches);
+    EXPECT_GT(failing, 0);
+    EXPECT_LT(failing, failing_full);
 }
 
 } // namespace

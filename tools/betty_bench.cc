@@ -23,9 +23,10 @@
  * drops events warns naming both knobs.
  *
  * Scenarios cover the pipeline stages the paper measures: neighbour
- * sampling, batch-level partitioning (REG construction), an epoch of
- * micro-batched training with and without the feature cache, and a
- * fault-injected resilient epoch that re-plans K -> K+1. Each repeat
+ * sampling, batch-level partitioning (REG construction), a cold
+ * memory-aware K search, an epoch of micro-batched training with and
+ * without the feature cache, and a fault-injected resilient epoch that
+ * re-plans K -> K+1. Each repeat
  * rebuilds model/optimizer state so every repeat does identical
  * work; datasets and sampled batches are built once per scenario in
  * untimed setup. All numeric flags are parsed strictly
@@ -71,6 +72,9 @@ struct Workload
     std::unique_ptr<Dataset> dataset;
     MultiLayerBatch full;
     std::vector<MultiLayerBatch> micros;
+    // The plan_search scenario's model and device budget.
+    GnnSpec spec;
+    int64_t capacity = 0;
 
     void
     reset()
@@ -119,6 +123,30 @@ setupMicros(const char* dataset_name, double scale, size_t num_seeds,
     BettyPartitioner partitioner;
     g_work.micros = extractMicroBatches(
         g_work.full, partitioner.partition(g_work.full, k));
+}
+
+/** setupBatch + a budget whose Table-3 lower bound on K is 8: each
+ * micro-batch has room for an eighth of the batch's non-fixed bytes,
+ * so the search answer is K >= 8. */
+void
+setupPlanSearch(const char* dataset_name, double scale, size_t num_seeds)
+{
+    setupBatch(dataset_name, scale, num_seeds);
+    g_work.spec = GraphSage(sageConfig(*g_work.dataset)).memorySpec();
+    const MemoryEstimate est = estimateBatchMemory(g_work.full, g_work.spec);
+    const int64_t fixed =
+        est.parameters + est.gradients + est.optimizerStates;
+    g_work.capacity = fixed + (est.peak - fixed) / 8;
+}
+
+/** A cold memory-aware K search: a fresh partitioner, K from 1. */
+void
+runPlanSearch()
+{
+    MemoryAwarePlanner planner(g_work.spec, g_work.capacity);
+    BettyPartitioner partitioner;
+    const PlanResult plan = planner.plan(g_work.full, partitioner);
+    BETTY_ASSERT(plan.fits && plan.k >= 8, "plan_search must fit at K >= 8");
 }
 
 /** One epoch of micro-batched training from a fresh model. */
@@ -219,6 +247,13 @@ registeredScenarios()
              partitioner.partition(g_work.full, 8);
          },
          [] { g_work.reset(); }});
+
+    scenarios.push_back(
+        {"plan_search",
+         "cold memory-aware K search from K=1, fresh partitioner, "
+         "answer K>=8, arxiv_like",
+         [] { setupPlanSearch("arxiv_like", 0.1, 1024); },
+         [] { runPlanSearch(); }, [] { g_work.reset(); }});
 
     scenarios.push_back(
         {"train_epoch",
