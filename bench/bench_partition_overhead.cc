@@ -68,10 +68,9 @@ main(int argc, char** argv)
         const int32_t k = 16;
         const int epochs = 6;
 
-        BettyOptions warm_opts;
-        warm_opts.warmStart = true;
-        BettyPartitioner warm(warm_opts);
-        BettyPartitioner cold;
+        // One partitioner across epochs warm-starts from epoch 2 on;
+        // a fresh one per epoch is always cold.
+        BettyPartitioner warm;
 
         TablePrinter table("partition time per epoch (K = 16, "
                            "resampled batch each epoch)");
@@ -82,6 +81,7 @@ main(int argc, char** argv)
                                     uint64_t(epoch));
             const auto batch = sampler.sample(seeds);
 
+            BettyPartitioner cold;
             Timer cold_timer;
             const auto cold_groups = cold.partition(batch, k);
             const double cold_ms = cold_timer.milliseconds();

@@ -9,7 +9,7 @@
  *               [--hidden N] [--fanout a,b,...] [--epochs N]
  *               [--lr F] [--budget-mib N] [--devices N]
  *               [--interconnect nvlink|pcie]
- *               [--partitioner betty|metis|random|range] [--warm]
+ *               [--partitioner betty|metis|random|range]
  *               [--threads N] [--kernels scalar|avx2|auto]
  *               [--no-pipeline]
  *               [--cache-gib F] [--cache-policy lru|lru-pinned]
@@ -153,7 +153,6 @@ struct Args
      * interconnect.h vocabulary). */
     std::string interconnect = "nvlink";
     std::string partitioner = "betty";
-    bool warm = false;
     /** Global ThreadPool lanes (0 = leave default/BETTY_THREADS). */
     int32_t threads = 0;
     /** Compute-kernel backend (flag > BETTY_KERNELS > "scalar";
@@ -285,8 +284,6 @@ parseArgs(int argc, char** argv)
             args.interconnect = next();
         } else if (flag == "--partitioner") {
             args.partitioner = next();
-        } else if (flag == "--warm") {
-            args.warm = true;
         } else if (flag == "--threads") {
             args.threads = int32_t(intFlag(flag, next()));
         } else if (flag == "--kernels") {
@@ -493,6 +490,7 @@ main(int argc, char** argv)
 
     int start_epoch = 1;
     int32_t last_k = 1;
+    BettyPartitioner betty_part;
     if (!args.resume.empty()) {
         TrainCheckpoint checkpoint;
         IoStatus status = loadCheckpoint(checkpoint, args.resume);
@@ -503,6 +501,7 @@ main(int argc, char** argv)
             fatal("--resume: ", status.message);
         start_epoch = int(checkpoint.epochsCompleted) + 1;
         last_k = int32_t(checkpoint.lastK);
+        betty_part.setWarmState(std::move(checkpoint.warmStart));
         obs::FlightRecorder::record(obs::FrCategory::Checkpoint,
                                     "checkpoint/restore",
                                     start_epoch, last_k);
@@ -512,9 +511,6 @@ main(int argc, char** argv)
                start_epoch, " with K=", last_k);
     }
 
-    BettyOptions popts;
-    popts.warmStart = args.warm;
-    BettyPartitioner betty_part(popts);
     RangePartitioner range_part;
     RandomPartitioner random_part;
     MetisBaselinePartitioner metis_part(ds.graph);
@@ -776,8 +772,9 @@ main(int argc, char** argv)
         if (!args.checkpoint_out.empty() &&
             (epoch % args.checkpoint_every == 0 ||
              epoch == args.epochs)) {
-            const TrainCheckpoint checkpoint = captureCheckpoint(
+            TrainCheckpoint checkpoint = captureCheckpoint(
                 *model, adam, epoch, last_k, uint64_t(epoch), 0);
+            checkpoint.warmStart = betty_part.warmState();
             const IoStatus status =
                 saveCheckpoint(checkpoint, args.checkpoint_out);
             if (status.ok()) {

@@ -1,6 +1,7 @@
 #include "core/betty.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,6 +27,13 @@ recordPlanMetrics(const PlanResult& result)
     estimated_peak.set(result.maxEstimatedPeak);
 }
 
+/** @p cut as a share of @p edge_weight (0 for an edgeless REG). */
+double
+cutShare(int64_t cut, int64_t edge_weight)
+{
+    return edge_weight > 0 ? double(cut) / double(edge_weight) : 0.0;
+}
+
 } // namespace
 
 const WeightedGraph&
@@ -45,6 +53,64 @@ BettyPartitioner::regFor(const Block& last_block)
     return reg_;
 }
 
+std::vector<int32_t>
+BettyPartitioner::carriedParts(std::span<const int64_t> outputs,
+                               bool same_outputs, int32_t k)
+{
+    if (state_.k != k || k <= 1)
+        return {};
+    // A full-batch epoch has the previous call's outputs in the same
+    // order: the parts carry over position by position.
+    if (same_outputs)
+        return std::move(state_.parts);
+
+    // Otherwise match ids through two sorted lists; nodes not seen
+    // before take part 0 and rebalancing and refinement place them.
+    std::vector<std::pair<int64_t, int32_t>> previous;
+    previous.reserve(state_.outputs.size());
+    for (size_t i = 0; i < state_.outputs.size(); ++i)
+        previous.emplace_back(state_.outputs[i], state_.parts[i]);
+    std::sort(previous.begin(), previous.end());
+    std::vector<std::pair<int64_t, size_t>> current;
+    current.reserve(outputs.size());
+    for (size_t i = 0; i < outputs.size(); ++i)
+        current.emplace_back(outputs[i], i);
+    std::sort(current.begin(), current.end());
+
+    std::vector<int32_t> parts(outputs.size(), 0);
+    size_t carried = 0;
+    for (size_t a = 0, b = 0;
+         a < previous.size() && b < current.size();) {
+        if (previous[a].first < current[b].first) {
+            ++a;
+        } else if (current[b].first < previous[a].first) {
+            ++b;
+        } else {
+            parts[current[b].second] = previous[a].second;
+            ++carried;
+            ++a;
+            ++b;
+        }
+    }
+    // Warm starting from a mostly-unseen batch would just be a bad
+    // cold start; require half the nodes to carry over.
+    if (carried * 2 < outputs.size())
+        return {};
+    return parts;
+}
+
+void
+BettyPartitioner::setWarmState(WarmStartState state)
+{
+    BETTY_ASSERT(state.k >= 0 &&
+                     state.outputs.size() == state.parts.size(),
+                 "warm-start state: outputs and parts differ in size");
+    for (int32_t p : state.parts)
+        BETTY_ASSERT(p >= 0 && p < state.k,
+                     "warm-start state: part id out of range");
+    state_ = std::move(state);
+}
+
 std::vector<std::vector<int64_t>>
 BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
 {
@@ -52,38 +118,62 @@ BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
     BETTY_TRACE_SPAN_CAT("partition/betty", "partition");
     const auto outputs = batch.outputNodes();
     last_run_was_warm_ = false;
-    if (k == 1)
+    if (k == 1) {
+        state_.k = 1;
+        state_.outputs.clear();
+        state_.parts.clear();
         return {std::vector<int64_t>(outputs.begin(), outputs.end())};
+    }
 
     // Algorithm 1: REG over the output layer, then K-way min cut.
     const WeightedGraph& reg = regFor(batch.blocks.back());
     KwayOptions kway = options_.kway;
     kway.k = k;
+    const bool same_outputs =
+        std::ranges::equal(outputs, state_.outputs);
 
-    std::vector<int32_t> parts;
-    if (options_.warmStart && previous_k_ == k) {
-        // Seed from the previous assignment; nodes not seen before
-        // take part 0 and let rebalance/refinement place them.
-        std::vector<int32_t> initial(outputs.size(), 0);
-        size_t carried = 0;
-        for (size_t i = 0; i < outputs.size(); ++i) {
-            const auto it = previous_assignment_.find(outputs[i]);
-            if (it != previous_assignment_.end()) {
-                initial[i] = it->second;
-                ++carried;
+    // A cold solve's cut share is the drift guard's reference.
+    const int64_t edge_weight = reg.totalEdgeWeight();
+    auto solve_cold = [&] {
+        state_.coldEdgeWeight = edge_weight;
+        return kwayPartition(reg, kway, hierarchies_, &state_.coldCut);
+    };
+    const bool metrics = obs::Metrics::enabled();
+    std::vector<int32_t> parts = carriedParts(outputs, same_outputs, k);
+    int64_t cut = 0;
+    if (parts.empty()) {
+        parts = solve_cold();
+        cut = state_.coldCut;
+    } else {
+        parts = kwayPartitionWarm(reg, kway, std::move(parts));
+        cut = reg.cutCost(parts);
+        last_run_was_warm_ = true;
+        // Drift guard: a warm cut share too far above the last cold
+        // solve's means the carried parts no longer fit the batch.
+        const double warm_share = cutShare(cut, edge_weight);
+        const double cold_share =
+            cutShare(state_.coldCut, state_.coldEdgeWeight);
+        if (metrics && cold_share > 0) {
+            static obs::Gauge& drift =
+                obs::Metrics::gauge("partition.cut_drift");
+            drift.set(int64_t((warm_share / cold_share - 1.0) * 1000.0));
+        }
+        if (warm_share > cold_share * (1.0 + kMaxCutDrift)) {
+            if (metrics) {
+                static obs::Counter& fallbacks =
+                    obs::Metrics::counter("partition.cold_fallbacks");
+                fallbacks.increment();
+            }
+            std::vector<int32_t> cold = solve_cold();
+            if (state_.coldCut <= cut) {
+                parts = std::move(cold);
+                cut = state_.coldCut;
+                last_run_was_warm_ = false;
             }
         }
-        // Warm starting from a mostly-unseen batch would just be a
-        // bad cold start; require half the nodes to carry over.
-        if (carried * 2 >= outputs.size()) {
-            parts = kwayPartitionWarm(reg, kway, std::move(initial));
-            last_run_was_warm_ = true;
-        }
     }
-    if (parts.empty())
-        parts = kwayPartition(reg, kway, hierarchies_);
 
-    if (obs::Metrics::enabled()) {
+    if (metrics) {
         // Partition quality: REG edge weight crossing micro-batch
         // boundaries — the redundancy Betty's min-cut minimizes.
         static obs::Gauge& edge_cut =
@@ -92,20 +182,18 @@ BettyPartitioner::partition(const MultiLayerBatch& batch, int32_t k)
             obs::Metrics::counter("partition.runs");
         static obs::Counter& warm_runs =
             obs::Metrics::counter("partition.warm_runs");
-        edge_cut.set(reg.cutCost(parts));
+        edge_cut.set(cut);
         runs.increment();
         if (last_run_was_warm_)
             warm_runs.increment();
     }
 
-    if (options_.warmStart) {
-        previous_assignment_.clear();
-        previous_assignment_.reserve(outputs.size() * 2);
-        for (size_t i = 0; i < outputs.size(); ++i)
-            previous_assignment_.emplace(outputs[i], parts[i]);
-        previous_k_ = k;
-    }
-    return groupByPart(outputs, parts, k);
+    auto groups = groupByPart(outputs, parts, k);
+    state_.k = k;
+    if (!same_outputs)
+        state_.outputs.assign(outputs.begin(), outputs.end());
+    state_.parts = std::move(parts);
+    return groups;
 }
 
 int64_t

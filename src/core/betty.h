@@ -15,8 +15,8 @@
 #define BETTY_CORE_BETTY_H
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/micro_batch.h"
@@ -36,17 +36,30 @@ struct BettyOptions
 
     /** Multilevel min-cut solver parameters (k is set per call). */
     KwayOptions kway;
+};
 
-    /**
-     * Warm-start repeated partitioning (our implementation of the
-     * paper's future-work item on reducing partitioning overhead,
-     * §7): when the same partitioner object repartitions a resampled
-     * batch at the same K, seed the solver from the previous epoch's
-     * assignment and only refine, instead of running full multilevel
-     * V-cycles. Falls back to a cold start whenever K changes or too
-     * few output nodes carry over.
-     */
-    bool warmStart = false;
+/**
+ * What a BettyPartitioner carries from one partition() call to the
+ * next: the call's assignment, which seeds a warm start, and the cut
+ * of the last cold solve, which the drift guard measures warm cuts
+ * against. A checkpoint stores it (robustness/checkpoint.h), so a
+ * resumed run partitions its next batch exactly as an uninterrupted
+ * run does.
+ */
+struct WarmStartState
+{
+    /** K of the last partition() call; 0 before the first one. */
+    int32_t k = 0;
+
+    /** That call's output nodes (raw-graph ids, in batch order) and
+     * the part of each; both empty when k <= 1. */
+    std::vector<int64_t> outputs;
+    std::vector<int32_t> parts;
+
+    /** Cut of the last cold solve and the total edge weight of the
+     * REG it ran on. */
+    int64_t coldCut = 0;
+    int64_t coldEdgeWeight = 0;
 };
 
 /**
@@ -65,10 +78,26 @@ struct BettyOptions
  * sources, compared element by element), never by its address: a
  * batch resampled into the same object gets a fresh REG and fresh
  * hierarchies.
+ *
+ * Warm start (docs/ALGORITHMS.md §2b; the paper's future-work item
+ * on partitioning overhead, §7): a call at the same K as the
+ * previous call, on a batch that keeps at least half of that call's
+ * output nodes, seeds the solver with the previous parts and only
+ * rebalances and refines (kwayPartitionWarm). A full-batch epoch
+ * keeps every output node, so every later epoch's plan at an
+ * unchanged K is warm. If the warm cut, as a share of the REG's
+ * total edge weight, exceeds the last cold solve's share by more
+ * than kMaxCutDrift, the same call also runs the cold V-cycle and
+ * keeps the lower cut. A fresh partitioner, or any change of K, is
+ * cold.
  */
 class BettyPartitioner : public OutputPartitioner
 {
   public:
+    /** Relative growth of the cut share over the last cold solve's
+     * that makes a warm run also solve cold (the drift guard). */
+    static constexpr double kMaxCutDrift = 0.05;
+
     explicit BettyPartitioner(BettyOptions options = {})
         : options_(std::move(options))
     {
@@ -82,15 +111,28 @@ class BettyPartitioner : public OutputPartitioner
     /** Frees the coarsening hierarchies; the REG stays cached. */
     void endSearch() override { hierarchies_.clear(); }
 
-    /** True if the last partition() call reused the previous epoch's
-     * assignment (warm start). */
+    /** True if the last partition() call returned a warm-started
+     * assignment (false when the drift guard's cold solve won). */
     bool lastRunWasWarm() const { return last_run_was_warm_; }
+
+    /** The state the next call warm-starts from (checkpointing). */
+    const WarmStartState& warmState() const { return state_; }
+
+    /** Replace that state, e.g. with a checkpoint's. Aborts unless
+     * outputs and parts have equal sizes and every part is in
+     * [0, k). */
+    void setWarmState(WarmStartState state);
 
   private:
     /** The REG of @p last_block: the cached one when the block's
      * adjacency equals the one it was built from, else a new build
      * (the old REG and its hierarchies are freed first). */
     const WeightedGraph& regFor(const Block& last_block);
+
+    /** The previous parts carried onto @p outputs, or empty when the
+     * K differs or fewer than half of the nodes carry over. */
+    std::vector<int32_t> carriedParts(std::span<const int64_t> outputs,
+                                      bool same_outputs, int32_t k);
 
     BettyOptions options_;
     // REG reuse: the last REG built, its restarts' coarsening
@@ -100,9 +142,7 @@ class BettyPartitioner : public OutputPartitioner
     std::vector<int64_t> reg_offsets_;
     std::vector<int64_t> reg_sources_;
     bool has_reg_ = false;
-    // Warm-start memory: the previous assignment, by raw-graph id.
-    std::unordered_map<int64_t, int32_t> previous_assignment_;
-    int32_t previous_k_ = 0;
+    WarmStartState state_;
     bool last_run_was_warm_ = false;
 };
 

@@ -50,8 +50,8 @@ WeightedGraph::WeightedGraph(int64_t num_nodes,
 
     // Sort each row by neighbour id, then merge duplicates by summing
     // their weights, compacting rows toward the front. A (u, v)-sorted
-    // duplicate-free list, such as buildReg's, fills every row already
-    // canonical and in place, so nothing moves.
+    // duplicate-free list fills every row already canonical and in
+    // place, so nothing moves.
     std::vector<std::pair<int64_t, int64_t>> row;
     int64_t write = 0;
     for (int64_t v = 0; v < num_nodes; ++v) {
@@ -157,6 +157,15 @@ WeightedGraph::cutCost(const std::vector<int32_t>& parts) const
         }
     }
     return cut;
+}
+
+int64_t
+WeightedGraph::totalEdgeWeight() const
+{
+    int64_t total = 0;
+    for (int64_t w : adj_weights_)
+        total += w;
+    return total / 2; // every edge is stored in both of its rows
 }
 
 } // namespace betty

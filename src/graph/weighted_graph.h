@@ -44,7 +44,7 @@ class WeightedGraph
      * (REG removes them, Algorithm 1 line 7, and min-cut ignores them).
      * Rows are filled by a counting sort, then sorted and merged, so the
      * result depends only on the edge multiset. A list sorted by
-     * (u, v), as buildReg emits, fills every row already in order.
+     * (u, v) fills every row already in order.
      * Vertex weights default to 1 if @p vertex_weights is empty.
      */
     WeightedGraph(int64_t num_nodes,
@@ -81,6 +81,9 @@ class WeightedGraph
 
     /** Sum of weights of edges with endpoints in different parts. */
     int64_t cutCost(const std::vector<int32_t>& parts) const;
+
+    /** Sum of all edge weights, each undirected edge counted once. */
+    int64_t totalEdgeWeight() const;
 
     /** Degree (number of distinct neighbors). */
     int64_t degree(int64_t node) const

@@ -110,13 +110,16 @@ kwayPartition(const WeightedGraph& graph, const KwayOptions& opts)
 
 std::vector<int32_t>
 kwayPartition(const WeightedGraph& graph, const KwayOptions& opts,
-              std::vector<CoarseHierarchy>& hierarchies)
+              std::vector<CoarseHierarchy>& hierarchies, int64_t* cut)
 {
     BETTY_ASSERT(opts.k >= 1, "k must be >= 1");
     BETTY_TRACE_SPAN_CAT("partition/kway", "partition");
     const int64_t n = graph.numNodes();
-    if (opts.k == 1 || n == 0)
+    if (opts.k == 1 || n == 0) {
+        if (cut)
+            *cut = 0;
         return std::vector<int32_t>(size_t(n), 0);
+    }
 
     // Several independent V-cycles; keep the lowest cut (METIS runs
     // multiple initial partitions for the same reason). The runs share
@@ -151,6 +154,8 @@ kwayPartition(const WeightedGraph& graph, const KwayOptions& opts,
     const size_t best = size_t(
         std::min_element(run_cuts.begin(), run_cuts.end()) -
         run_cuts.begin());
+    if (cut)
+        *cut = run_cuts[best];
     return std::move(run_parts[best]);
 }
 

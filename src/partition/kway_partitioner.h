@@ -119,10 +119,11 @@ std::vector<int32_t> kwayPartition(const WeightedGraph& graph,
  * same graph, seed and restarts. Each restart's hierarchy is written
  * only by the task running that restart. The result equals
  * kwayPartition(graph, opts) at every k, in any order of calls.
+ * @p cut, if given, receives the result's cut cost.
  */
 std::vector<int32_t> kwayPartition(
     const WeightedGraph& graph, const KwayOptions& opts,
-    std::vector<CoarseHierarchy>& hierarchies);
+    std::vector<CoarseHierarchy>& hierarchies, int64_t* cut = nullptr);
 
 /** Largest part weight divided by perfect balance (1.0 = perfect). */
 double partitionImbalance(const WeightedGraph& graph,

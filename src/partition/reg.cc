@@ -1,8 +1,8 @@
 #include "partition/reg.h"
 
 #include <algorithm>
-#include <functional>
-#include <queue>
+#include <cstddef>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -16,136 +16,132 @@ namespace betty {
 namespace {
 
 /**
- * Sources per enumeration block. Fixed (never derived from the thread
- * count) so the work decomposition — and therefore the set of sorted
- * pair runs — is identical for any pool size; only the schedule
- * varies. ~4k sources is coarse enough to amortize task overhead and
- * fine enough to balance hub-heavy blocks across workers.
+ * REG rows per build block. Fixed (never derived from the thread
+ * count) so the blocks, and each block's rows, are the same for any
+ * pool size; only the schedule varies. 256 rows balance hub-heavy
+ * rows across lanes while keeping per-block overhead negligible.
  */
-constexpr int64_t kSourceBlock = 4096;
+constexpr int64_t kRowBlock = 256;
 
-/** Column view of the output block: the destinations of each source,
- * ascending (a CSR transpose of the block's dst->src adjacency). */
-struct SourceCsr
+/** Compressed rows: row r lists ids[offsets[r] .. offsets[r + 1]). */
+struct Csr
 {
-    std::vector<int64_t> offsets; // size numSrc + 1
-    std::vector<int64_t> dsts;
+    std::vector<int64_t> offsets;
+    std::vector<int64_t> ids;
 };
 
-SourceCsr
-invertBlock(const Block& block)
+/** The transpose of the rows @p offsets / @p ids over @p num_cols
+ * columns: row c lists, ascending, every row that holds c (once per
+ * time it holds it). */
+Csr
+transpose(const std::vector<int64_t>& offsets,
+          const std::vector<int64_t>& ids, int64_t num_cols)
 {
-    const auto& dst_offsets = block.edgeOffsets();
-    const auto& sources = block.edgeSources();
-    SourceCsr csr;
-    csr.offsets.assign(size_t(block.numSrc()) + 1, 0);
-    for (int64_t s : sources)
-        ++csr.offsets[size_t(s) + 1];
-    for (size_t s = 0; s + 1 < csr.offsets.size(); ++s)
-        csr.offsets[s + 1] += csr.offsets[s];
-    csr.dsts.resize(sources.size());
-    std::vector<int64_t> fill(csr.offsets.begin(), csr.offsets.end() - 1);
-    // Destinations are visited in increasing order, so every source's
-    // list comes out sorted (duplicates adjacent).
-    for (int64_t d = 0; d < block.numDst(); ++d)
-        for (int64_t e = dst_offsets[size_t(d)];
-             e < dst_offsets[size_t(d) + 1]; ++e)
-            csr.dsts[size_t(fill[size_t(sources[size_t(e)])]++)] = d;
-    return csr;
-}
-
-/** The co-destination pairs of one source block: distinct packed keys
- * (lo_dst * num_dst + hi_dst), ascending, with their pair counts. */
-struct PairRun
-{
-    std::vector<int64_t> keys;
-    std::vector<int64_t> counts;
-};
-
-/** Enumerate, sort and run-length count the pairs of sources [lo, hi). */
-PairRun
-blockPairs(const SourceCsr& csr, int64_t lo, int64_t hi,
-           int64_t num_dst, const RegOptions& opts)
-{
-    std::vector<int64_t> keys;
-    std::vector<int64_t> dsts;
-    for (int64_t s = lo; s < hi; ++s) {
-        // A destination can sample the same source more than once in a
-        // multigraph; shared-neighbor counts are over distinct nodes.
-        dsts.assign(csr.dsts.begin() + csr.offsets[size_t(s)],
-                    csr.dsts.begin() + csr.offsets[size_t(s) + 1]);
-        dsts.erase(std::unique(dsts.begin(), dsts.end()), dsts.end());
-        if (dsts.size() < 2)
-            continue;
-
-        const int64_t limit =
-            (opts.hubPairCap > 0 &&
-             int64_t(dsts.size()) > opts.hubPairCap)
-                ? opts.hubPairCap
-                : int64_t(dsts.size());
-        // Deterministic stride sample keeps the guard reproducible.
-        const double step = double(dsts.size()) / double(limit);
-        for (int64_t a = 0; a < limit; ++a) {
-            const int64_t i = dsts[size_t(double(a) * step)];
-            for (int64_t b = a + 1; b < limit; ++b) {
-                const int64_t j = dsts[size_t(double(b) * step)];
-                if (i == j)
-                    continue;
-                keys.push_back(std::min(i, j) * num_dst +
-                               std::max(i, j));
-            }
-        }
-    }
-    std::sort(keys.begin(), keys.end());
-
-    PairRun run;
-    for (size_t i = 0; i < keys.size();) {
-        size_t j = i + 1;
-        while (j < keys.size() && keys[j] == keys[i])
-            ++j;
-        run.keys.push_back(keys[i]);
-        run.counts.push_back(int64_t(j - i));
-        i = j;
-    }
-    return run;
+    Csr t;
+    t.offsets.assign(size_t(num_cols) + 1, 0);
+    for (int64_t c : ids)
+        ++t.offsets[size_t(c) + 1];
+    for (size_t c = 0; c < size_t(num_cols); ++c)
+        t.offsets[c + 1] += t.offsets[c];
+    t.ids.resize(ids.size());
+    std::vector<int64_t> fill(t.offsets.begin(), t.offsets.end() - 1);
+    for (size_t r = 0; r + 1 < offsets.size(); ++r)
+        for (int64_t e = offsets[r]; e < offsets[r + 1]; ++e)
+            t.ids[size_t(fill[size_t(ids[size_t(e)])]++)] = int64_t(r);
+    return t;
 }
 
 /**
- * Merge the sorted runs into one edge list ordered by (u, v), summing
- * the counts of a key that several blocks share. Ties pop in block
- * order; sums are exact, so the order could not change a weight.
+ * Each source's effective destinations: its distinct destinations in
+ * ascending order, stride-sampled down to opts.hubPairCap when it has
+ * more (the hub guard). Sources with fewer than two left pair with
+ * nothing and get an empty row.
  */
-std::vector<WeightedEdge>
-mergeRuns(const std::vector<PairRun>& runs, int64_t num_dst)
+Csr
+effectiveDestinations(const Block& block, const RegOptions& opts)
 {
-    using Head = std::pair<int64_t, size_t>; // (key, run index)
-    std::priority_queue<Head, std::vector<Head>, std::greater<Head>>
-        heap;
-    std::vector<size_t> next(runs.size(), 0);
-    size_t max_edges = 0;
-    for (size_t r = 0; r < runs.size(); ++r) {
-        max_edges += runs[r].keys.size();
-        if (!runs[r].keys.empty())
-            heap.push({runs[r].keys.front(), r});
-    }
+    // A destination that sampled a source twice appears twice in the
+    // source's row, adjacently.
+    Csr eff = transpose(block.edgeOffsets(), block.edgeSources(),
+                        block.numSrc());
 
-    std::vector<WeightedEdge> edges;
-    edges.reserve(max_edges);
-    int64_t last_key = -1;
-    while (!heap.empty()) {
-        const auto [key, r] = heap.top();
-        heap.pop();
-        const int64_t count = runs[r].counts[next[r]];
-        if (key == last_key) {
-            edges.back().weight += count;
-        } else {
-            edges.push_back({key / num_dst, key % num_dst, count});
-            last_key = key;
+    // Compact in place: dedup (counts are over distinct nodes), then
+    // the deterministic stride sample. The step is >= 1, so sampled
+    // positions strictly increase (the sample stays distinct and
+    // ascending) and every write lands at or before the position it
+    // reads.
+    int64_t write = 0;
+    int64_t row_begin = 0;
+    for (size_t s = 0; s + 1 < eff.offsets.size(); ++s) {
+        const int64_t row_end = eff.offsets[s + 1];
+        const auto begin = eff.ids.begin() + row_begin;
+        const int64_t distinct = int64_t(
+            std::unique(begin, eff.ids.begin() + row_end) - begin);
+        const int64_t limit =
+            opts.hubPairCap > 0 && distinct > opts.hubPairCap
+                ? opts.hubPairCap
+                : distinct;
+        if (limit >= 2) {
+            const double step = double(distinct) / double(limit);
+            for (int64_t a = 0; a < limit; ++a)
+                eff.ids[size_t(write++)] =
+                    begin[ptrdiff_t(double(a) * step)];
         }
-        if (++next[r] < runs[r].keys.size())
-            heap.push({runs[r].keys[next[r]], r});
+        eff.offsets[s + 1] = write;
+        row_begin = row_end;
     }
-    return edges;
+    eff.ids.resize(size_t(write));
+    return eff;
+}
+
+/** One block's REG rows, back to back; rowEnd[r] is the end of the
+ * block's r-th row in targets/weights. */
+struct RowBlock
+{
+    std::vector<int64_t> rowEnd;
+    std::vector<int64_t> targets;
+    std::vector<int64_t> weights;
+};
+
+/**
+ * Rows [lo, hi) of C = AᵀA: for row i, every source s holding i
+ * counts one shared neighbour for each other destination j it holds.
+ * A dense per-lane accumulator takes the counts; the touched ids are
+ * sorted, emitted and their slots zeroed, so the accumulator is all
+ * zero between rows.
+ */
+RowBlock
+buildRows(const Csr& eff, const Csr& by_dst, int64_t num_dst,
+          int64_t lo, int64_t hi)
+{
+    thread_local std::vector<int32_t> count;
+    thread_local std::vector<int64_t> touched;
+    if (count.size() < size_t(num_dst))
+        count.resize(size_t(num_dst), 0);
+
+    RowBlock block;
+    block.rowEnd.reserve(size_t(hi - lo));
+    for (int64_t i = lo; i < hi; ++i) {
+        touched.clear();
+        for (int64_t e = by_dst.offsets[size_t(i)];
+             e < by_dst.offsets[size_t(i) + 1]; ++e) {
+            const int64_t s = by_dst.ids[size_t(e)];
+            for (int64_t f = eff.offsets[size_t(s)];
+                 f < eff.offsets[size_t(s) + 1]; ++f) {
+                const int64_t j = eff.ids[size_t(f)];
+                if (j != i && count[size_t(j)]++ == 0)
+                    touched.push_back(j);
+            }
+        }
+        std::sort(touched.begin(), touched.end());
+        for (int64_t j : touched) {
+            block.targets.push_back(j);
+            block.weights.push_back(count[size_t(j)]);
+            count[size_t(j)] = 0;
+        }
+        block.rowEnd.push_back(int64_t(block.targets.size()));
+    }
+    return block;
 }
 
 } // namespace
@@ -155,31 +151,56 @@ buildReg(const Block& last_block, const RegOptions& opts)
 {
     BETTY_TRACE_SPAN_CAT("partition/reg_build", "partition");
     const int64_t num_dst = last_block.numDst();
-    const int64_t num_src = last_block.numSrc();
-    const SourceCsr csr = invertBlock(last_block);
+    // A pair count never exceeds the number of sources.
+    BETTY_ASSERT(
+        last_block.numSrc() <= std::numeric_limits<int32_t>::max(),
+        "too many sources for the REG's 32-bit pair counts");
 
-    // c_ij = sum over sources of [i in dsts(s)][j in dsts(s)]:
-    // enumerate co-destination pairs per source. Each fixed block of
-    // sources sorts its own packed pair keys into a counted run (no
-    // sharing, no locks, no hashing); the runs are then merged. The
-    // edge list comes out sorted by endpoint pair with exact sums, so
-    // it is byte-identical for any thread count.
-    const int64_t num_blocks =
-        num_src == 0 ? 0 : (num_src + kSourceBlock - 1) / kSourceBlock;
-    std::vector<PairRun> runs(static_cast<size_t>(num_blocks));
+    // c_ij = sum over sources of [i in eff(s)][j in eff(s)], built one
+    // row i at a time (Gustavson's row-wise sparse product). Fixed
+    // blocks of rows run on the pool, each into its own buffers; the
+    // counts are exact integers and each row's ids come out sorted,
+    // so every row, and the whole CSR, is byte-identical for any pool
+    // size.
+    const Csr eff = effectiveDestinations(last_block, opts);
+    const Csr by_dst = transpose(eff.offsets, eff.ids, num_dst);
+    const int64_t num_blocks = (num_dst + kRowBlock - 1) / kRowBlock;
+    std::vector<RowBlock> blocks(static_cast<size_t>(num_blocks));
     ThreadPool::global().parallelFor(
         0, num_blocks, 1, [&](int64_t block_lo, int64_t block_hi) {
-            for (int64_t block = block_lo; block < block_hi;
-                 ++block) {
-                const int64_t lo = block * kSourceBlock;
-                const int64_t hi =
-                    std::min(lo + kSourceBlock, num_src);
-                runs[size_t(block)] =
-                    blockPairs(csr, lo, hi, num_dst, opts);
+            for (int64_t b = block_lo; b < block_hi; ++b)
+                blocks[size_t(b)] = buildRows(
+                    eff, by_dst, num_dst, b * kRowBlock,
+                    std::min(num_dst, (b + 1) * kRowBlock));
+        });
+
+    // Concatenate the blocks' rows into the final CSR arrays.
+    std::vector<int64_t> offsets(size_t(num_dst) + 1, 0);
+    std::vector<int64_t> block_start(size_t(num_blocks) + 1, 0);
+    for (int64_t b = 0; b < num_blocks; ++b) {
+        const RowBlock& block = blocks[size_t(b)];
+        const int64_t base = block_start[size_t(b)];
+        for (size_t r = 0; r < block.rowEnd.size(); ++r)
+            offsets[size_t(b * kRowBlock) + r + 1] =
+                base + block.rowEnd[r];
+        block_start[size_t(b) + 1] =
+            base + int64_t(block.targets.size());
+    }
+    const size_t num_entries = size_t(offsets.back());
+    std::vector<int64_t> targets(num_entries);
+    std::vector<int64_t> weights(num_entries);
+    ThreadPool::global().parallelFor(
+        0, num_blocks, 1, [&](int64_t block_lo, int64_t block_hi) {
+            for (int64_t b = block_lo; b < block_hi; ++b) {
+                RowBlock& block = blocks[size_t(b)];
+                const size_t at = size_t(block_start[size_t(b)]);
+                std::copy(block.targets.begin(), block.targets.end(),
+                          targets.begin() + ptrdiff_t(at));
+                std::copy(block.weights.begin(), block.weights.end(),
+                          weights.begin() + ptrdiff_t(at));
+                block = RowBlock(); // free it as soon as it is copied
             }
         });
-    const std::vector<WeightedEdge> edges = mergeRuns(runs, num_dst);
-    runs.clear(); // not needed while the graph is built
 
     std::vector<int64_t> vertex_weights;
     if (opts.degreeVertexWeights) {
@@ -194,9 +215,10 @@ buildReg(const Block& last_block, const RegOptions& opts)
         static obs::Counter& reg_edges =
             obs::Metrics::counter("partition.reg_edges");
         builds.increment();
-        reg_edges.add(int64_t(edges.size()));
+        reg_edges.add(int64_t(num_entries / 2));
     }
-    return WeightedGraph(num_dst, edges, std::move(vertex_weights));
+    return WeightedGraph(std::move(offsets), std::move(targets),
+                         std::move(weights), std::move(vertex_weights));
 }
 
 } // namespace betty

@@ -10,16 +10,17 @@
  * number of input nodes that must be duplicated across micro-batches.
  *
  * The paper computes C with a sparse matrix product
- * (dgl.adj_product_graph); we enumerate co-destination pairs per
- * source, which is the same computation row by row. Fixed blocks of
- * sources sort their packed pair keys on the pool, and the sorted runs
- * are merged and run-length counted into the (u, v)-sorted edge list:
- * no hashing, byte-identical output for any thread count.
+ * (dgl.adj_product_graph); we compute the same product one REG row at
+ * a time (Gustavson's row-wise SpGEMM). Fixed blocks of rows count
+ * co-destinations into a dense per-lane accumulator on the pool and
+ * emit each row's ids sorted, and the blocks' rows are concatenated
+ * straight into the WeightedGraph's canonical CSR: no hashing, no
+ * edge list, byte-identical output for any thread count
+ * (docs/ALGORITHMS.md §1).
  *
  * buildReg() always builds. BettyPartitioner (core/betty.h) keeps the
  * last REG and reuses it while the planner probes K values on the
- * same batch. The sorted edge list fills the WeightedGraph's canonical
- * CSR rows in order by a counting sort alone (docs/ALGORITHMS.md §1).
+ * same batch.
  */
 #ifndef BETTY_PARTITION_REG_H
 #define BETTY_PARTITION_REG_H

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace betty {
 
@@ -10,7 +11,8 @@ namespace {
 
 constexpr uint64_t kCheckpointMagic =
     0x42455454595F434BULL; // "BETTY_CK"
-constexpr uint64_t kCheckpointVersion = 1;
+// Version 2 added the partitioner's warm-start state.
+constexpr uint64_t kCheckpointVersion = 2;
 
 /** Checkpoint tensors live on the host: keep their allocations out of
  * the device memory model even when a DeviceMemoryModel::Scope spans
@@ -121,6 +123,11 @@ saveCheckpoint(const TrainCheckpoint& checkpoint,
         return {IoError::ShapeMismatch,
                 "checkpoint moment count disagrees with parameter "
                 "count"};
+    if (checkpoint.warmStart.outputs.size() !=
+        checkpoint.warmStart.parts.size())
+        return {IoError::ShapeMismatch,
+                "checkpoint warm-start outputs and parts differ in "
+                "size"};
 
     std::string payload;
     appendU64(payload, uint64_t(checkpoint.epochsCompleted));
@@ -133,6 +140,15 @@ saveCheckpoint(const TrainCheckpoint& checkpoint,
         appendTensor(payload, checkpoint.params[i]);
         appendTensor(payload, checkpoint.adamM[i]);
         appendTensor(payload, checkpoint.adamV[i]);
+    }
+    const WarmStartState& warm = checkpoint.warmStart;
+    appendU64(payload, uint64_t(warm.k));
+    appendU64(payload, uint64_t(warm.coldCut));
+    appendU64(payload, uint64_t(warm.coldEdgeWeight));
+    appendU64(payload, warm.outputs.size());
+    for (size_t i = 0; i < warm.outputs.size(); ++i) {
+        appendU64(payload, uint64_t(warm.outputs[i]));
+        appendU64(payload, uint64_t(warm.parts[i]));
     }
 
     std::string out;
@@ -226,6 +242,34 @@ loadCheckpoint(TrainCheckpoint& checkpoint, const std::string& path)
                     "'" + path + "': moment tensor " +
                         std::to_string(i) +
                         " does not match its parameter's shape"};
+    }
+    uint64_t warm_k = 0, cold_cut = 0, cold_weight = 0, num_outputs = 0;
+    if (!r.readU64(warm_k, "warm-start K") ||
+        !r.readU64(cold_cut, "warm-start cold cut") ||
+        !r.readU64(cold_weight, "warm-start cold edge weight") ||
+        !r.readU64(num_outputs, "warm-start output count"))
+        return r.status;
+    if (warm_k > uint64_t(std::numeric_limits<int32_t>::max()) ||
+        int64_t(cold_cut) < 0 || int64_t(cold_weight) < 0 ||
+        num_outputs > r.remaining / (2 * sizeof(uint64_t)))
+        return {IoError::CorruptValues,
+                "'" + path + "': implausible warm-start header"};
+    WarmStartState& warm = loaded.warmStart;
+    warm.k = int32_t(warm_k);
+    warm.coldCut = int64_t(cold_cut);
+    warm.coldEdgeWeight = int64_t(cold_weight);
+    warm.outputs.resize(num_outputs);
+    warm.parts.resize(num_outputs);
+    for (size_t i = 0; i < num_outputs; ++i) {
+        uint64_t node = 0, part = 0;
+        if (!r.readU64(node, "warm-start output") ||
+            !r.readU64(part, "warm-start part"))
+            return r.status;
+        if (part >= warm_k)
+            return {IoError::CorruptValues,
+                    "'" + path + "': warm-start part id out of range"};
+        warm.outputs[i] = int64_t(node);
+        warm.parts[i] = int32_t(part);
     }
     if (r.remaining != 0)
         return {IoError::CorruptValues,

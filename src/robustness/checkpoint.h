@@ -10,7 +10,11 @@
  *     the update rule depends on all three),
  *   - the RNG cursor (sampler seed + call index, since a sample is a
  *     pure function of (seed, call index) — util/rng.h streams),
- *   - the training cursor (epochs completed, last planned K).
+ *   - the training cursor (epochs completed, last planned K),
+ *   - the partitioner's warm-start state (core/betty.h
+ *     WarmStartState: its last K and assignment, and the cut of its
+ *     last cold solve), without which a resumed run would partition
+ *     its next batch cold where an uninterrupted run warm-starts.
  *
  * Format: little-endian, "BETTY_CK" magic + version, the fields
  * above, and a trailing FNV-1a checksum over the payload so a
@@ -26,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/betty.h"
 #include "data/io.h"
 #include "nn/models.h"
 #include "nn/optim.h"
@@ -53,6 +58,11 @@ struct TrainCheckpoint
     int64_t adamStepCount = 0;
     std::vector<Tensor> adamM;
     std::vector<Tensor> adamV;
+
+    /** BettyPartitioner::warmState() of the run's partitioner; the
+     * caller fills it (captureCheckpoint leaves it empty) and hands
+     * it back to BettyPartitioner::setWarmState() on resume. */
+    WarmStartState warmStart;
 };
 
 /** Write @p checkpoint to @p path (atomic content: checksummed). */

@@ -157,9 +157,11 @@ TEST_F(CheckpointEnv, KillAndResumeIsBitIdentical)
             losses.push_back(p.runEpoch(epoch, last_k));
         for (int i = 0; i < kKillAfter; ++i)
             EXPECT_EQ(losses[size_t(i)], straight_losses[size_t(i)]);
-        const auto checkpoint = captureCheckpoint(
+        auto checkpoint = captureCheckpoint(
             p.model, p.adam, kKillAfter, last_k,
             uint64_t(kKillAfter), 0);
+        // The straight run warm-starts epoch 3 from epoch 2's parts.
+        checkpoint.warmStart = p.partitioner.warmState();
         ASSERT_TRUE(saveCheckpoint(checkpoint, path).ok());
         saved_k = last_k;
     }
@@ -171,6 +173,7 @@ TEST_F(CheckpointEnv, KillAndResumeIsBitIdentical)
         ASSERT_TRUE(loadCheckpoint(checkpoint, path).ok());
         ASSERT_TRUE(
             restoreCheckpoint(checkpoint, p.model, p.adam).ok());
+        p.partitioner.setWarmState(checkpoint.warmStart);
         EXPECT_EQ(checkpoint.epochsCompleted, kKillAfter);
         EXPECT_EQ(checkpoint.lastK, saved_k);
 
@@ -340,6 +343,54 @@ TEST_F(CheckpointEnv, FileRoundTripPreservesEveryField)
         for (int64_t j = 0; j < loaded.params[i].numel(); ++j)
             ASSERT_EQ(loaded.params[i].data()[j],
                       original.params[i].data()[j]);
+}
+
+TEST_F(CheckpointEnv, FileRoundTripPreservesWarmStartState)
+{
+    Process p(dataset(), capacity());
+    int32_t last_k = 1;
+    p.runEpoch(1, last_k);
+    ASSERT_GT(last_k, 1) << "the epoch must partition";
+    auto original = captureCheckpoint(p.model, p.adam, 1, last_k, 1, 0);
+    original.warmStart = p.partitioner.warmState();
+    const std::string path = tmpPath("warm_state.ckpt");
+    ASSERT_TRUE(saveCheckpoint(original, path).ok());
+
+    TrainCheckpoint loaded;
+    ASSERT_TRUE(loadCheckpoint(loaded, path).ok());
+    std::remove(path.c_str());
+    const WarmStartState& want = original.warmStart;
+    const WarmStartState& got = loaded.warmStart;
+    EXPECT_EQ(got.k, last_k);
+    EXPECT_EQ(got.k, want.k);
+    EXPECT_EQ(got.outputs, want.outputs);
+    EXPECT_EQ(got.parts, want.parts);
+    EXPECT_EQ(got.coldCut, want.coldCut);
+    EXPECT_EQ(got.coldEdgeWeight, want.coldEdgeWeight);
+    EXPECT_EQ(got.outputs.size(), 120u);
+}
+
+TEST_F(CheckpointEnv, OldVersionIsRejected)
+{
+    Process p(dataset(), capacity());
+    int32_t last_k = 1;
+    p.runEpoch(1, last_k);
+    const std::string path = tmpPath("old_version.ckpt");
+    ASSERT_TRUE(
+        saveCheckpoint(captureCheckpoint(p.model, p.adam, 1, last_k, 1, 0),
+                       path)
+            .ok());
+    // Restamp the version word (after the 8-byte magic) as version 1,
+    // which had no warm-start state; the payload checksum still holds.
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const uint64_t version_one = 1;
+    ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&version_one, sizeof(version_one), 1, f), 1u);
+    std::fclose(f);
+    TrainCheckpoint out;
+    EXPECT_EQ(loadCheckpoint(out, path).error, IoError::BadVersion);
+    std::remove(path.c_str());
 }
 
 TEST_F(CheckpointEnv, TypedLoadErrors)

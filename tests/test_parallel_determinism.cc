@@ -280,37 +280,46 @@ INSTANTIATE_TEST_SUITE_P(Graphs, ParallelDeterminism,
                                            "bipartite_heavy"));
 
 /** Element-wise REG comparison (sharper diagnostics than the hash):
- * the parallel per-block merge must be unobservable in the adjacency
- * arrays themselves, not just in a digest. */
+ * the row blocks built on the pool must be unobservable in the
+ * adjacency arrays themselves, not just in a digest, at every pool
+ * size and with a hub cap small enough that most sources are sampled.
+ */
 TEST(ParallelDeterminism, RegAdjacencyElementwiseIdentical)
 {
     const CsrGraph graph = bipartiteHeavyGraph();
     NeighborSampler sampler(graph, {4, 6}, 7);
     const auto batch =
         sampler.sample(seedNodes(graph, 256, graph.numNodes() / 3));
+    RegOptions opts;
+    opts.hubPairCap = 8;
 
     ThreadPool::setGlobalThreads(1);
-    const auto serial = buildReg(batch.blocks.back());
-    ThreadPool::setGlobalThreads(8);
-    const auto parallel = buildReg(batch.blocks.back());
-    ThreadPool::setGlobalThreads(1);
-
-    ASSERT_EQ(serial.numNodes(), parallel.numNodes());
-    ASSERT_EQ(serial.numEdges(), parallel.numEdges());
-    for (int64_t v = 0; v < serial.numNodes(); ++v) {
-        EXPECT_EQ(serial.vertexWeight(v), parallel.vertexWeight(v));
-        const auto s_nbrs = serial.neighbors(v);
-        const auto p_nbrs = parallel.neighbors(v);
-        const auto s_weights = serial.edgeWeights(v);
-        const auto p_weights = parallel.edgeWeights(v);
-        ASSERT_EQ(s_nbrs.size(), p_nbrs.size()) << "vertex " << v;
-        for (size_t i = 0; i < s_nbrs.size(); ++i) {
-            EXPECT_EQ(s_nbrs[i], p_nbrs[i])
-                << "vertex " << v << " neighbor " << i;
-            EXPECT_EQ(s_weights[i], p_weights[i])
-                << "vertex " << v << " weight " << i;
+    const auto serial = buildReg(batch.blocks.back(), opts);
+    for (const int32_t threads : {2, 4, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        const auto parallel = buildReg(batch.blocks.back(), opts);
+        ASSERT_EQ(serial.numNodes(), parallel.numNodes());
+        ASSERT_EQ(serial.numEdges(), parallel.numEdges())
+            << "threads " << threads;
+        for (int64_t v = 0; v < serial.numNodes(); ++v) {
+            EXPECT_EQ(serial.vertexWeight(v), parallel.vertexWeight(v));
+            const auto s_nbrs = serial.neighbors(v);
+            const auto p_nbrs = parallel.neighbors(v);
+            const auto s_weights = serial.edgeWeights(v);
+            const auto p_weights = parallel.edgeWeights(v);
+            ASSERT_EQ(s_nbrs.size(), p_nbrs.size())
+                << "threads " << threads << " vertex " << v;
+            for (size_t i = 0; i < s_nbrs.size(); ++i) {
+                EXPECT_EQ(s_nbrs[i], p_nbrs[i])
+                    << "threads " << threads << " vertex " << v
+                    << " neighbor " << i;
+                EXPECT_EQ(s_weights[i], p_weights[i])
+                    << "threads " << threads << " vertex " << v
+                    << " weight " << i;
+            }
         }
     }
+    ThreadPool::setGlobalThreads(1);
 }
 
 // -------------------------------------------------------------------
@@ -492,10 +501,13 @@ TEST_F(KwayRestarts, ResampledBatchDropsTheHierarchy)
     const MultiLayerBatch* address = &batch;
     batch = sampler.sample(seedNodes(graph, 384, 100));
     ASSERT_EQ(&batch, address);
-    for (const int32_t k : {12, 3, 6, 2})
+    for (const int32_t k : {12, 3, 6, 2}) {
         EXPECT_EQ(partitioner.partition(batch, k),
                   freshBettyGroups(batch, KwayOptions{}, k))
             << "K " << k;
+        // Disjoint outputs, then a new K at every call: each is cold.
+        EXPECT_FALSE(partitioner.lastRunWasWarm()) << "K " << k;
+    }
 }
 
 } // namespace

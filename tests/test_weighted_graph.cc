@@ -71,6 +71,8 @@ TEST(WeightedGraph, CutCost)
     EXPECT_EQ(g.cutCost({0, 1, 0, 1}), 21);
     // No split.
     EXPECT_EQ(g.cutCost({0, 0, 0, 0}), 0);
+    // Every edge once: the cut of the split that separates all nodes.
+    EXPECT_EQ(g.totalEdgeWeight(), 21);
 }
 
 TEST(WeightedGraph, EmptyGraph)

@@ -24,9 +24,10 @@
  *
  * Scenarios cover the pipeline stages the paper measures: neighbour
  * sampling, batch-level partitioning (REG construction), a cold
- * memory-aware K search, an epoch of micro-batched training with and
- * without the feature cache, and a fault-injected resilient epoch that
- * re-plans K -> K+1. Each repeat
+ * memory-aware K search and a later epoch's warm-started one, an
+ * epoch of micro-batched training with and without the feature
+ * cache, and a fault-injected resilient epoch that re-plans
+ * K -> K+1. Each repeat
  * rebuilds model/optimizer state so every repeat does identical
  * work; datasets and sampled batches are built once per scenario in
  * untimed setup. All numeric flags are parsed strictly
@@ -75,6 +76,11 @@ struct Workload
     // The plan_search scenario's model and device budget.
     GnnSpec spec;
     int64_t capacity = 0;
+    // plan_warm_epoch: the second epoch's batch, and the K and the
+    // partitioner state the first epoch's plan left behind.
+    MultiLayerBatch next;
+    int32_t lastK = 1;
+    WarmStartState warm;
 
     void
     reset()
@@ -82,6 +88,8 @@ struct Workload
         dataset.reset();
         full = MultiLayerBatch();
         micros.clear();
+        next = MultiLayerBatch();
+        warm = WarmStartState();
     }
 };
 
@@ -101,12 +109,13 @@ sageConfig(const Dataset& ds)
 
 /** Load dataset + sample one batch (the setup every scenario shares). */
 void
-setupBatch(const char* dataset_name, double scale, size_t num_seeds)
+setupBatch(const char* dataset_name, double scale, size_t num_seeds,
+           const std::vector<int64_t>& fanouts = {4, 6})
 {
     g_work.reset();
     g_work.dataset = std::make_unique<Dataset>(
         loadCatalogDataset(dataset_name, scale, 11));
-    NeighborSampler sampler(g_work.dataset->graph, {4, 6}, 12);
+    NeighborSampler sampler(g_work.dataset->graph, fanouts, 12);
     const auto& train = g_work.dataset->trainNodes;
     std::vector<int64_t> seeds(
         train.begin(),
@@ -129,9 +138,10 @@ setupMicros(const char* dataset_name, double scale, size_t num_seeds,
  * micro-batch has room for an eighth of the batch's non-fixed bytes,
  * so the search answer is K >= 8. */
 void
-setupPlanSearch(const char* dataset_name, double scale, size_t num_seeds)
+setupPlanSearch(const char* dataset_name, double scale, size_t num_seeds,
+                const std::vector<int64_t>& fanouts = {4, 6})
 {
-    setupBatch(dataset_name, scale, num_seeds);
+    setupBatch(dataset_name, scale, num_seeds, fanouts);
     g_work.spec = GraphSage(sageConfig(*g_work.dataset)).memorySpec();
     const MemoryEstimate est = estimateBatchMemory(g_work.full, g_work.spec);
     const int64_t fixed =
@@ -147,6 +157,38 @@ runPlanSearch()
     BettyPartitioner partitioner;
     const PlanResult plan = planner.plan(g_work.full, partitioner);
     BETTY_ASSERT(plan.fits && plan.k >= 8, "plan_search must fit at K >= 8");
+}
+
+/** setupPlanSearch at train_cli's default fanout + the first
+ * epoch's plan, then a resampled second batch over the same output
+ * nodes. */
+void
+setupPlanWarmEpoch(const char* dataset_name, double scale,
+                   size_t num_seeds)
+{
+    const std::vector<int64_t> fanouts = {5, 10};
+    setupPlanSearch(dataset_name, scale, num_seeds, fanouts);
+    MemoryAwarePlanner planner(g_work.spec, g_work.capacity);
+    BettyPartitioner partitioner;
+    g_work.lastK = planner.plan(g_work.full, partitioner).k;
+    g_work.warm = partitioner.warmState();
+    const auto outputs = g_work.full.outputNodes();
+    NeighborSampler sampler(g_work.dataset->graph, fanouts, 13);
+    g_work.next = sampler.sample(
+        std::vector<int64_t>(outputs.begin(), outputs.end()));
+}
+
+/** The second epoch's plan: a partitioner holding the first epoch's
+ * state builds the new batch's REG and warm-starts at the last K. */
+void
+runPlanWarmEpoch()
+{
+    MemoryAwarePlanner planner(g_work.spec, g_work.capacity);
+    BettyPartitioner partitioner;
+    partitioner.setWarmState(g_work.warm);
+    const PlanResult plan =
+        planner.plan(g_work.next, partitioner, g_work.lastK);
+    BETTY_ASSERT(plan.fits, "plan_warm_epoch must fit");
 }
 
 /** One epoch of micro-batched training from a fresh model. */
@@ -254,6 +296,13 @@ registeredScenarios()
          "answer K>=8, arxiv_like",
          [] { setupPlanSearch("arxiv_like", 0.1, 1024); },
          [] { runPlanSearch(); }, [] { g_work.reset(); }});
+
+    scenarios.push_back(
+        {"plan_warm_epoch",
+         "a resampled second epoch's K search, warm-started from the "
+         "first epoch's plan, arxiv_like",
+         [] { setupPlanWarmEpoch("arxiv_like", 0.1, 1024); },
+         [] { runPlanWarmEpoch(); }, [] { g_work.reset(); }});
 
     scenarios.push_back(
         {"train_epoch",
